@@ -1,6 +1,8 @@
 package memcached
 
 import (
+	"maps"
+	"slices"
 	"sync"
 
 	"ebbrt/internal/rcu"
@@ -188,13 +190,14 @@ func (s *LockedStore) Len() int {
 	return len(s.m)
 }
 
-// Scan implements Store: the snapshot is copied out under the lock, then
-// fn runs unlocked so it may mutate the store.
+// Scan implements Store: the snapshot is copied out under the lock in key
+// order (map order would make callers that send or schedule per entry
+// nondeterministic), then fn runs unlocked so it may mutate the store.
 func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 	s.mu.Lock()
 	snap := make([]storePair, 0, len(s.m))
-	for k, v := range s.m {
-		snap = append(snap, storePair{k: k, v: v})
+	for _, k := range slices.Sorted(maps.Keys(s.m)) {
+		snap = append(snap, storePair{k: k, v: s.m[k]})
 	}
 	s.mu.Unlock()
 	for _, kv := range snap {
@@ -204,15 +207,11 @@ func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 	}
 }
 
-// Keys implements Store.
+// Keys implements Store, in key order.
 func (s *LockedStore) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	return keys
+	return slices.Sorted(maps.Keys(s.m))
 }
 
 // OpCost implements Store: an uncontended atomic plus contention that

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/binary"
+	"maps"
+	"slices"
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
@@ -1066,12 +1068,18 @@ func (cc *clientConn) transmit(c *event.Ctx, pkt []byte) {
 
 // fail reports every outstanding operation as a network error - NOT a
 // miss: the keys may well exist, the backend is just unreachable - and
-// retires the connection from its pool.
+// retires the connection from its pool. Operations fail in opaque order,
+// the order they were sent, so the failovers their callbacks start replay
+// deterministically.
 func (cc *clientConn) fail(c *event.Ctx) {
 	cc.closed = true
 	cc.connected = false
 	cc.pendingTx = nil
-	for opaque, op := range cc.inflight {
+	for _, opaque := range slices.Sorted(maps.Keys(cc.inflight)) {
+		op, ok := cc.inflight[opaque]
+		if !ok {
+			continue // a callback already settled it
+		}
 		delete(cc.inflight, opaque)
 		if op.timer != nil {
 			op.timer.Cancel()

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
@@ -488,7 +490,7 @@ func (cl *Cluster) peekDeleted(ranges []MoveRange) [][]byte {
 		return nil
 	}
 	var out [][]byte
-	for k := range ho.deleted {
+	for _, k := range slices.Sorted(maps.Keys(ho.deleted)) {
 		h := ringHash([]byte(k))
 		for _, r := range ranges {
 			if r.Contains(h) {

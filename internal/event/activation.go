@@ -1,53 +1,25 @@
 package event
 
-// Event activations: each executing event runs on a goroutine so it can
-// suspend mid-execution (the paper's save/restore of stack and register
-// state). Determinism is preserved because the kernel goroutine and the
-// activation goroutine run strictly alternately - the kernel always waits
-// on act.state while the activation runs, so exactly one goroutine is ever
-// active.
+// Event activations: the saved state of an event that blocked (paper
+// §3.2 save/restore). Handlers normally run in place on the kernel's
+// loop; the first Ctx.Block of an event allocates its activation, hands
+// the loop to a fresh goroutine (sim.Kernel.Detach) and parks, so the
+// blocked event keeps its stack on its own goroutine. Resuming it is a
+// synthetic event: the loop's goroutine sends on resume and waits on
+// state while the event runs until it blocks again or finishes.
+// Determinism holds because exactly one goroutine ever runs at a time.
 
 type actState int
 
 const (
 	actDone actState = iota
 	actBlocked
+	actPanicked
 )
 
 type activation struct {
-	in     chan Handler
-	state  chan actState
-	resume chan struct{}
-	ctx    *Ctx
-}
-
-func (m *Manager) getActivation() *activation {
-	if n := len(m.pool); n > 0 {
-		act := m.pool[n-1]
-		m.pool = m.pool[:n-1]
-		return act
-	}
-	act := &activation{
-		in:     make(chan Handler),
-		state:  make(chan actState),
-		resume: make(chan struct{}),
-	}
-	go act.loop()
-	return act
-}
-
-func (m *Manager) putActivation(act *activation) {
-	act.ctx = nil
-	if len(m.pool) < 64 {
-		m.pool = append(m.pool, act)
-	} else {
-		close(act.in) // let the goroutine exit
-	}
-}
-
-func (a *activation) loop() {
-	for fn := range a.in {
-		fn(a.ctx)
-		a.state <- actDone
-	}
+	state    chan actState
+	resume   chan struct{}
+	ctx      *Ctx
+	panicked any // the event's panic value, sent with actPanicked
 }

@@ -12,14 +12,17 @@
 // adaptive polling.
 //
 // Handlers account for the virtual CPU time they consume via Ctx.Charge;
-// the core is busy for that long before the loop continues. The paper's
-// save/restore event mechanism (used to give blocking semantics on top of
-// events) is implemented with parked goroutines that the deterministic
-// simulation kernel resumes one at a time.
+// the core is busy for that long before the loop continues. A handler is
+// called directly on the simulation kernel's loop and runs to completion
+// there, as on EbbRT's per-core event stack. Only an event that blocks
+// (Ctx.Block, the paper's save/restore of event state) leaves the loop:
+// its goroutine keeps the saved stack and the kernel's loop carries on on
+// a fresh goroutine (see activation.go).
 package event
 
 import (
 	"fmt"
+	"runtime"
 
 	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
@@ -82,8 +85,9 @@ type Manager struct {
 	synth      []synthItem
 	idle       []*IdleHandler
 	timerReady []Handler
-
-	pool []*activation
+	// step is m.process as a func value, made once: every event
+	// schedules it, and a fresh method value would allocate each time.
+	step func()
 
 	// Dispatched counts handler invocations, for tests and stats.
 	Dispatched uint64
@@ -106,6 +110,7 @@ func NewManager(core *machine.Core, costs Costs) *Manager {
 		handlers: map[int]Handler{},
 		nextVec:  vecFirstAllocatable,
 	}
+	m.step = m.process
 	m.handlers[VecIPI] = func(*Ctx) {}
 	m.handlers[VecTimer] = func(c *Ctx) {
 		ready := m.timerReady
@@ -201,16 +206,19 @@ func (m *Manager) runHandler(vec int, base sim.Time) {
 	m.exec(h, base+m.costs.EventDispatch)
 }
 
-// exec runs fn on an activation goroutine, then schedules the next loop
-// step after the charged time. If fn blocks, the loop continues at the
-// charge accumulated so far and the activation resumes later.
+// exec runs fn in place on the kernel's loop, then schedules the next
+// loop step after the charged time. If fn blocks, Block has already
+// continued the loop at the charge accumulated so far, and this goroutine
+// now belongs to the event: finish reports the event's end to whichever
+// goroutine resumed it.
 func (m *Manager) exec(fn Handler, base sim.Time) {
 	m.Dispatched++
-	act := m.getActivation()
-	ctx := &Ctx{m: m, act: act, charge: base}
-	act.ctx = ctx
-	act.in <- fn
-	m.awaitActivation(act)
+	ctx := &Ctx{m: m, charge: base}
+	defer ctx.finish()
+	fn(ctx)
+	if ctx.act == nil {
+		m.k.After(ctx.charge, m.step)
+	}
 }
 
 // resumeActivation continues a previously blocked activation as an event.
@@ -219,21 +227,13 @@ func (m *Manager) resumeActivation(act *activation) {
 	ctx := act.ctx
 	ctx.charge = m.costs.EventDispatch + m.costs.ContextSave
 	act.resume <- struct{}{}
-	m.awaitActivation(act)
-}
-
-// awaitActivation waits for the activation to finish or block, then
-// schedules the next loop step at the event's completion time.
-func (m *Manager) awaitActivation(act *activation) {
-	st := <-act.state
-	ctx := act.ctx
-	switch st {
-	case actDone:
-		m.putActivation(act)
+	switch <-act.state {
 	case actBlocked:
 		ctx.charge += m.costs.ContextSave
+	case actPanicked:
+		panic(act.panicked)
 	}
-	m.k.After(ctx.charge, m.process)
+	m.k.After(ctx.charge, m.step)
 }
 
 // process is the event loop: it runs each time the core finishes an event.
@@ -284,7 +284,7 @@ func (m *Manager) process() {
 // valid during its event's execution.
 type Ctx struct {
 	m      *Manager
-	act    *activation
+	act    *activation // nil until the event first blocks
 	charge sim.Time
 }
 
@@ -315,7 +315,21 @@ func (c *Ctx) Charged() sim.Time { return c.charge }
 // function; invoking it reactivates this event as if by ActivateContext.
 // Block satisfies future.Blocker, so f.Block(ctx) awaits a future with
 // blocking semantics.
+//
+// Block must be called from an event the loop dispatched (a spawned,
+// interrupt, timer, idle or resumed event) during Run, RunUntil or Step,
+// not from a handler that another handler's Spawn or RaiseIRQ ran
+// synchronously: the first Block hands the loop on, so nothing beneath
+// the blocking event on its stack may still have work to do.
 func (c *Ctx) Block(register func(resume func())) {
+	first := c.act == nil
+	if first {
+		c.act = &activation{
+			state:  make(chan actState),
+			resume: make(chan struct{}),
+			ctx:    c,
+		}
+	}
 	act := c.act
 	resumed := false
 	register(func() {
@@ -326,6 +340,33 @@ func (c *Ctx) Block(register func(resume func())) {
 		c.m.synth = append(c.m.synth, synthItem{act: act})
 		c.m.kick()
 	})
-	act.state <- actBlocked
+	if first {
+		// SaveContext: the core is free once the save is charged, and
+		// the rest of the loop moves to a fresh goroutine.
+		c.charge += c.m.costs.ContextSave
+		c.m.k.After(c.charge, c.m.step)
+		c.m.k.Detach()
+	} else {
+		act.state <- actBlocked
+	}
 	<-act.resume
+}
+
+// finish runs as exec returns. An event that never blocked needs
+// nothing: its goroutine is still the loop's. One that blocked is on its
+// own goroutine, above loop frames that have since moved on, so it
+// reports done (or its panic) to the goroutine that resumed it and exits
+// instead of returning into them.
+func (c *Ctx) finish() {
+	act := c.act
+	if act == nil {
+		return
+	}
+	if p := recover(); p != nil {
+		act.panicked = p
+		act.state <- actPanicked
+	} else {
+		act.state <- actDone
+	}
+	runtime.Goexit()
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
+	"ebbrt/internal/audit"
 	"ebbrt/internal/sim"
 )
 
@@ -67,5 +69,46 @@ func TestAvailabilityReviveRestores(t *testing.T) {
 	}
 	if res.Load.Misses != 0 {
 		t.Errorf("%d false misses across kill/revive", res.Load.Misses)
+	}
+}
+
+// TestAvailabilityAuditDeterministic runs benchguard's audited chaos
+// scenario - a kill, its eviction, client failover and the revive -
+// twice at the same seed and requires byte-identical event logs. Any
+// callback or send whose order follows Go's randomised map iteration
+// shows up here as diverging failover timestamps.
+func TestAvailabilityAuditDeterministic(t *testing.T) {
+	run := func() []byte {
+		var buf bytes.Buffer
+		sink := audit.NewFileSink(&buf)
+		Availability(AvailabilityOptions{
+			TargetRPS: 25000,
+			Duration:  110 * sim.Millisecond,
+			KillAt:    40 * sim.Millisecond,
+			ReviveAt:  70 * sim.Millisecond,
+			Audit:     audit.NewLog(sink),
+		})
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("the audited run emitted no events")
+	}
+	if !bytes.Equal(a, b) {
+		al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+		for i := 0; i < len(al) && i < len(bl); i++ {
+			if !bytes.Equal(al[i], bl[i]) {
+				t.Fatalf("event logs diverge at line %d:\n%s\n%s", i+1, al[i], bl[i])
+			}
+		}
+		t.Fatalf("event logs differ in length: %d vs %d lines", len(al), len(bl))
+	}
+	for _, want := range []audit.Kind{audit.NodeKilled, audit.HealthEvicted, audit.FailoverRead} {
+		if !bytes.Contains(a, []byte(`"`+string(want)+`"`)) {
+			t.Errorf("event log has no %s event: the scenario no longer exercises it", want)
+		}
 	}
 }

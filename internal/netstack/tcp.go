@@ -872,35 +872,39 @@ func (p *TcpPcb) processData(c *event.Ctx, hdr TcpHeader, payload *iobuf.IOBuf) 
 // exact rcvNxt key would strand them in the map forever (a leak) - and
 // a segment the stream has partially overtaken still carries new bytes,
 // so it is trimmed and delivered rather than dropped.
+//
+// Segments are taken earliest-starting first, one at a time, so the
+// delivery sequence never depends on map iteration order.
 func (p *TcpPcb) drainReassembly(c *event.Ctx) {
 	for {
-		delivered := false
-		for seq, next := range p.ooo {
-			if !seqLEQ(seq, p.rcvNxt) {
-				continue // still a hole in front of this segment
+		var seq uint32
+		found := false
+		for s := range p.ooo {
+			if seqLEQ(s, p.rcvNxt) && (!found || seqLT(s, seq)) {
+				seq, found = s, true
 			}
-			delete(p.ooo, seq)
-			overlap := p.rcvNxt - seq
-			if overlap >= next.seqLen {
-				continue // fully covered by what was already delivered
-			}
-			if overlap > 0 {
-				dataLen := int(next.seqLen)
-				if next.fin {
-					dataLen--
-				}
-				adv := int(overlap)
-				if adv > dataLen {
-					adv = dataLen
-				}
-				chainAdvance(next.payload, adv)
-			}
-			p.deliver(c, next.payload, next.fin, next.seqLen-overlap)
-			delivered = true
 		}
-		if !delivered {
-			return // only stale entries were purged; rcvNxt is final
+		if !found {
+			return // every stashed segment is still behind a hole
 		}
+		next := p.ooo[seq]
+		delete(p.ooo, seq)
+		overlap := p.rcvNxt - seq
+		if overlap >= next.seqLen {
+			continue // fully covered by what was already delivered
+		}
+		if overlap > 0 {
+			dataLen := int(next.seqLen)
+			if next.fin {
+				dataLen--
+			}
+			adv := int(overlap)
+			if adv > dataLen {
+				adv = dataLen
+			}
+			chainAdvance(next.payload, adv)
+		}
+		p.deliver(c, next.payload, next.fin, next.seqLen-overlap)
 	}
 }
 

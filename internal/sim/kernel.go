@@ -9,8 +9,9 @@
 package sim
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -43,7 +44,6 @@ type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
-	heapIdx  int
 	canceled bool
 	fired    bool
 }
@@ -64,14 +64,23 @@ func (e *Event) Cancel() bool {
 
 // Kernel is a single-threaded discrete-event executor. Events scheduled for
 // the same instant fire in scheduling order (FIFO), making every simulation
-// deterministic. Kernel is not safe for concurrent use; the event package
-// layers deterministic coroutine blocking on top of it.
+// deterministic. Kernel is not safe for concurrent use.
+//
+// Run, RunUntil and Step fire events on a driver goroutine while the
+// caller waits, so an event callback can park its goroutine mid-way (the
+// event package's blocking contexts) without stalling the simulation: it
+// calls Detach first, which hands the rest of the call's loop to a fresh
+// driver. Exactly one goroutine touches the kernel at any moment, so
+// determinism holds. A panic in a callback is re-raised in the caller.
 type Kernel struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
 	// fired counts events executed; useful for debugging runaway loops.
 	fired uint64
+	// drv is the goroutine driving the current Run, RunUntil or Step
+	// call; nil between calls.
+	drv *driver
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -102,7 +111,7 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	}
 	e := &Event{at: t, seq: k.seq, fn: fn}
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	return e
 }
 
@@ -117,37 +126,15 @@ func (k *Kernel) After(d Time, fn func()) *Event {
 
 // Step executes the earliest pending event, advancing virtual time to its
 // timestamp. It reports false when no events remain.
-func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		e := heap.Pop(&k.queue).(*Event)
-		if e.canceled {
-			continue
-		}
-		k.now = e.at
-		e.fired = true
-		k.fired++
-		e.fn()
-		return true
-	}
-	return false
-}
+func (k *Kernel) Step() bool { return k.drive(math.MaxInt64, true) }
 
 // Run executes events until none remain.
-func (k *Kernel) Run() {
-	for k.Step() {
-	}
-}
+func (k *Kernel) Run() { k.drive(math.MaxInt64, false) }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t (even if the queue drained earlier).
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.queue) > 0 {
-		e := k.peek()
-		if e == nil || e.at > t {
-			break
-		}
-		k.Step()
-	}
+	k.drive(t, false)
 	if k.now < t {
 		k.now = t
 	}
@@ -156,47 +143,145 @@ func (k *Kernel) RunUntil(t Time) {
 // RunFor executes events for d nanoseconds of virtual time from now.
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 
-func (k *Kernel) peek() *Event {
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			heap.Pop(&k.queue)
-			continue
+// Detach hands the loop of the current Run, RunUntil or Step call to a
+// fresh driver goroutine: the paper's SaveContext, seen from the kernel.
+// The calling event callback must then park its goroutine, touch the
+// kernel again only when another goroutine hands it control, and never
+// return into the kernel: it ends with runtime.Goexit.
+func (k *Kernel) Detach() {
+	d := k.drv
+	if d == nil {
+		panic("sim: Detach outside Run, RunUntil or Step")
+	}
+	d.detached = true
+	k.drv = &driver{call: d.call}
+	go k.loop(k.drv)
+}
+
+// call is one Run, RunUntil or Step invocation.
+type call struct {
+	limit  Time     // fire events at or before limit
+	single bool     // Step: stop after one event
+	fired  bool     // an event fired (Step's result)
+	done   chan any // the final driver sends nil, or a callback's panic
+}
+
+// driver is one goroutine driving a call's loop.
+type driver struct {
+	call     *call
+	detached bool // a callback on this goroutine passed the loop on
+}
+
+// errGoexit is re-raised in the caller when a callback ends its driver
+// goroutine (runtime.Goexit, testing's FailNow) without detaching.
+var errGoexit = errors.New("sim: event callback exited its goroutine without Detach")
+
+// drive runs one call's loop on a driver goroutine and waits for it.
+func (k *Kernel) drive(limit Time, single bool) bool {
+	c := &call{limit: limit, single: single, done: make(chan any, 1)}
+	outer := k.drv
+	k.drv = &driver{call: c}
+	go k.loop(k.drv)
+	p := <-c.done
+	k.drv = outer
+	if p != nil {
+		panic(p)
+	}
+	return c.fired
+}
+
+// loop fires events for d's call until it is satisfied.
+func (k *Kernel) loop(d *driver) {
+	c := d.call
+	ended := false
+	defer func() {
+		if ended || d.detached {
+			return // finished, or a detached callback's goroutine retiring
 		}
-		return e
+		p := recover()
+		if p == nil {
+			p = errGoexit
+		}
+		c.done <- p
+	}()
+	for !(c.single && c.fired) {
+		e := k.queue.popUntil(c.limit)
+		if e == nil {
+			break
+		}
+		c.fired = true
+		k.now = e.at
+		e.fired = true
+		k.fired++
+		e.fn()
+	}
+	ended = true
+	c.done <- nil
+}
+
+// eventQueue is a binary min-heap of events ordered by (time, sequence).
+// The order is total, so the pop sequence is fully determined.
+type eventQueue []*Event
+
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+func (q *eventQueue) push(e *Event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	*q = h
+}
+
+// popUntil removes and returns the earliest live event at or before
+// limit, discarding cancelled events it meets at the top; nil if none.
+func (q *eventQueue) popUntil(limit Time) *Event {
+	for h := *q; len(h) > 0; h = *q {
+		e := h[0]
+		if !e.canceled && e.at > limit {
+			return nil
+		}
+		n := len(h) - 1
+		last := h[n]
+		h[n] = nil
+		h = h[:n]
+		if n > 0 {
+			siftDown(h, last)
+		}
+		*q = h
+		if !e.canceled {
+			return e
+		}
 	}
 	return nil
 }
 
-// eventHeap orders events by (time, sequence).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// siftDown places e, taken from the tail, into the hole at the root.
+func siftDown(h []*Event, e *Event) {
+	n := len(h)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.heapIdx = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	h[i] = e
 }

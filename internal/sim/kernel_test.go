@@ -156,3 +156,26 @@ func TestKernelOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkKernelAtStep measures one event's trip through the queue: it
+// is scheduled with At and later popped and fired, against a standing
+// backlog of 1024 pending events at scattered times.
+func BenchmarkKernelAtStep(b *testing.B) {
+	const backlog = 1024
+	k := NewKernel()
+	r := NewRng(1)
+	left := b.N
+	var fire func()
+	fire = func() {
+		if left > 0 {
+			left--
+			k.At(k.Now()+Time(r.Uint64()%10000), fire)
+		}
+	}
+	for i := 0; i < backlog; i++ {
+		k.At(Time(r.Uint64()%10000), fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
