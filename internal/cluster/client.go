@@ -1011,7 +1011,7 @@ func (r *clientRep) dial(c *event.Ctx, backend int) *clientConn {
 // arrives in time.
 type inflightOp struct {
 	cb    Callback
-	timer *sim.Event
+	timer sim.Event
 }
 
 // clientConn multiplexes requests over one TCP connection, matching
@@ -1081,9 +1081,7 @@ func (cc *clientConn) fail(c *event.Ctx) {
 			continue // a callback already settled it
 		}
 		delete(cc.inflight, opaque)
-		if op.timer != nil {
-			op.timer.Cancel()
-		}
+		op.timer.Cancel()
 		if op.cb != nil {
 			op.cb(c, Response{Status: StatusNetworkError})
 		}
@@ -1132,9 +1130,7 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 			continue // timed out; the caller has already failed over
 		}
 		delete(cc.inflight, hdr.Opaque)
-		if op.timer != nil {
-			op.timer.Cancel()
-		}
+		op.timer.Cancel()
 		if op.cb == nil {
 			continue
 		}

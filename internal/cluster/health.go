@@ -68,7 +68,7 @@ type HealthMonitor struct {
 	states []backendHealth
 	byNode map[hosted.NodeId]int
 	seq    uint64
-	ticker *sim.Event
+	ticker sim.Event
 	// mu guards evictedAt/restoredAt: they are written from the monitor
 	// callback on the simulation goroutine but read through the accessors
 	// by experiment code and tests, possibly from other goroutines.
@@ -151,10 +151,7 @@ func (h *HealthMonitor) RestoredAt(i int) (sim.Time, bool) {
 
 // Stop cancels the heartbeat loop.
 func (h *HealthMonitor) Stop() {
-	if h.ticker != nil {
-		h.ticker.Cancel()
-		h.ticker = nil
-	}
+	h.ticker.Cancel()
 }
 
 func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {

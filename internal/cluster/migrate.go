@@ -237,7 +237,7 @@ type migrationRun struct {
 	done      []bool
 	attempt   []int
 	scrubbing []bool
-	timers    []*sim.Event
+	timers    []sim.Event
 	left      int
 	drain     int // backend being drained (live decommission), -1 otherwise
 }
@@ -393,7 +393,7 @@ func (m *Migrator) start(kind string, prev *Ring, plan []MoveRange, drain int) {
 		done:      make([]bool, len(jobs)),
 		attempt:   make([]int, len(jobs)),
 		scrubbing: make([]bool, len(jobs)),
-		timers:    make([]*sim.Event, len(jobs)),
+		timers:    make([]sim.Event, len(jobs)),
 		left:      len(jobs),
 		drain:     drain,
 	}
@@ -433,10 +433,7 @@ func (m *Migrator) launch(j int) {
 		m.abort()
 		return
 	}
-	if run.timers[j] != nil {
-		run.timers[j].Cancel()
-		run.timers[j] = nil
-	}
+	run.timers[j].Cancel()
 	run.attempt[j]++
 	job := run.jobs[j]
 	src := -1
@@ -524,9 +521,7 @@ func (m *Migrator) onAck(c *event.Ctx, payload []byte) {
 		if attempt != run.attempt[j] {
 			return // a newer attempt owns the job
 		}
-		if run.timers[j] != nil {
-			run.timers[j].Cancel()
-		}
+		run.timers[j].Cancel()
 		run.timers[j] = m.mgr.After(m.cfg.RetryDelay, func(c *event.Ctx) {
 			if m.cur != run || run.done[j] {
 				return
@@ -636,10 +631,7 @@ func (m *Migrator) scrub(c *event.Ctx, run *migrationRun, j, moved int, tombs []
 func (m *Migrator) completeJob(j int, moved int, lost bool) {
 	run := m.cur
 	run.done[j] = true
-	if run.timers[j] != nil {
-		run.timers[j].Cancel()
-		run.timers[j] = nil
-	}
+	run.timers[j].Cancel()
 	for _, r := range run.jobs[j].ranges {
 		m.cl.completeRange(r)
 	}
@@ -674,9 +666,7 @@ func (m *Migrator) abort() {
 		return
 	}
 	for _, t := range run.timers {
-		if t != nil {
-			t.Cancel()
-		}
+		t.Cancel()
 	}
 	m.cl.endHandoff()
 	if run.drain >= 0 {

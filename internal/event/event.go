@@ -82,9 +82,9 @@ type Manager struct {
 	handlers map[int]Handler
 	nextVec  int
 
-	synth      []synthItem
+	synth      sim.FIFO[synthItem]
 	idle       []*IdleHandler
-	timerReady []Handler
+	timerReady sim.FIFO[Handler]
 	// step is m.process as a func value, made once: every event
 	// schedules it, and a fresh method value would allocate each time.
 	step func()
@@ -113,9 +113,9 @@ func NewManager(core *machine.Core, costs Costs) *Manager {
 	m.step = m.process
 	m.handlers[VecIPI] = func(*Ctx) {}
 	m.handlers[VecTimer] = func(c *Ctx) {
-		ready := m.timerReady
-		m.timerReady = nil
-		for _, fn := range ready {
+		// Timers that fire while these run raise VecTimer again.
+		for n := m.timerReady.Len(); n > 0; n-- {
+			fn, _ := m.timerReady.Pop()
 			fn(c)
 		}
 	}
@@ -146,14 +146,14 @@ func (m *Manager) Bind(vec int, h Handler) { m.handlers[vec] = h }
 // Spawn queues fn to run as a synthetic event on this core. Spawned events
 // run once; for recurring work install an IdleHandler.
 func (m *Manager) Spawn(fn Handler) {
-	m.synth = append(m.synth, synthItem{fn: fn})
+	m.synth.Push(synthItem{fn: fn})
 	m.kick()
 }
 
 // After schedules fn to run as a timer event after d of virtual time.
-func (m *Manager) After(d sim.Time, fn Handler) *sim.Event {
+func (m *Manager) After(d sim.Time, fn Handler) sim.Event {
 	return m.k.After(d, func() {
-		m.timerReady = append(m.timerReady, fn)
+		m.timerReady.Push(fn)
 		m.core.RaiseIRQ(VecTimer)
 	})
 }
@@ -239,19 +239,12 @@ func (m *Manager) resumeActivation(act *activation) {
 // process is the event loop: it runs each time the core finishes an event.
 func (m *Manager) process() {
 	// (1) pending hardware interrupts get priority.
-	if m.core.HasPending() {
-		p := m.core.TakePending()
-		vec := p[0]
-		for _, rest := range p[1:] {
-			m.core.RaiseIRQ(rest) // re-latch the remainder in order
-		}
+	if vec, ok := m.core.PopPending(); ok {
 		m.runHandler(vec, m.core.M.Cfg.Costs.InterruptEntry)
 		return
 	}
 	// (2) one synthetic event (spawn or blocked-context resumption).
-	if len(m.synth) > 0 {
-		item := m.synth[0]
-		m.synth = m.synth[1:]
+	if item, ok := m.synth.Pop(); ok {
 		if item.act != nil {
 			m.resumeActivation(item.act)
 		} else {
@@ -337,7 +330,7 @@ func (c *Ctx) Block(register func(resume func())) {
 			panic("event: context resumed twice")
 		}
 		resumed = true
-		c.m.synth = append(c.m.synth, synthItem{act: act})
+		c.m.synth.Push(synthItem{act: act})
 		c.m.kick()
 	})
 	if first {

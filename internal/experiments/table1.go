@@ -77,22 +77,29 @@ func loopEbb(ref core.Ref[counterRep], iters int) {
 	}
 }
 
-// timed runs fn (which contains its own iteration loop) several times and
-// returns the best observed cycles per 1000 dispatches at the paper's
-// clock. Taking the minimum filters scheduler noise, which matters on
-// small virtualized hosts.
-func timed(iters int, fn func(int)) float64 {
+// timed runs each loop (which contains its own iteration loop) several
+// times and returns, per loop, the best observed cycles per 1000
+// dispatches at the paper's clock. The trials go round-robin across the
+// loops, so a burst of host noise lands on every method alike instead of
+// on whichever one happened to be running; taking each minimum then
+// filters the noise, which matters on small virtualized hosts.
+func timed(iters int, loops ...func(int)) []float64 {
 	const trials = 7
-	best := 0.0
+	best := make([]float64, len(loops))
 	for t := 0; t < trials; t++ {
-		start := time.Now()
-		fn(iters)
-		ns := float64(time.Since(start).Nanoseconds())
-		if best == 0 || ns < best {
-			best = ns
+		for i, fn := range loops {
+			start := time.Now()
+			fn(iters)
+			ns := float64(time.Since(start).Nanoseconds())
+			if best[i] == 0 || ns < best[i] {
+				best[i] = ns
+			}
 		}
 	}
-	return best / float64(iters) * 1000 * PaperGHz
+	for i := range best {
+		best[i] = best[i] / float64(iters) * 1000 * PaperGHz
+	}
+	return best
 }
 
 // Table1 reproduces the object-dispatch cost table: the cost of 1000
@@ -116,13 +123,19 @@ func Table1(iters int) []DispatchRow {
 	hostedRef := core.Allocate(hostedDom, func(int) *counterRep { return &counterRep{} })
 	hostedRef.Get(0)
 
-	return []DispatchRow{
-		{Method: "Inline", Cycles: timed(iters, func(n int) { loopInline(rep, n) })},
-		{Method: "No Inline", Cycles: timed(iters, func(n int) { loopNoInline(rep, n) })},
-		{Method: "Virtual", Cycles: timed(iters, func(n int) { loopVirtual(targets, n) })},
-		{Method: "Inline Ebb", Cycles: timed(iters, func(n int) { loopEbb(nativeRef, n) })},
-		{Method: "Hosted Ebb", Cycles: timed(iters, func(n int) { loopEbb(hostedRef, n) })},
+	methods := []string{"Inline", "No Inline", "Virtual", "Inline Ebb", "Hosted Ebb"}
+	cycles := timed(iters,
+		func(n int) { loopInline(rep, n) },
+		func(n int) { loopNoInline(rep, n) },
+		func(n int) { loopVirtual(targets, n) },
+		func(n int) { loopEbb(nativeRef, n) },
+		func(n int) { loopEbb(hostedRef, n) },
+	)
+	rows := make([]DispatchRow, len(methods))
+	for i, m := range methods {
+		rows[i] = DispatchRow{Method: m, Cycles: cycles[i]}
 	}
+	return rows
 }
 
 // FormatTable1 renders rows like the paper's Table 1.

@@ -85,6 +85,16 @@ func (b *IOBuf) Retreat(n int) {
 	b.length += n
 }
 
+// Reserve moves an empty view n bytes into the buffer, leaving n bytes of
+// headroom for a header to be prepended later with Retreat. It panics if
+// the view is not empty or n exceeds the tailroom.
+func (b *IOBuf) Reserve(n int) {
+	if b.length != 0 || n < 0 || n > b.Tailroom() {
+		panic(fmt.Sprintf("iobuf: Reserve(%d) with view %d, tailroom %d", n, b.length, b.Tailroom()))
+	}
+	b.off += n
+}
+
 // Append extends the view n bytes into the tailroom and returns the newly
 // exposed region for the producer to fill. It panics on overflow.
 func (b *IOBuf) Append(n int) []byte {

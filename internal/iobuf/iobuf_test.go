@@ -30,6 +30,26 @@ func TestViewManipulation(t *testing.T) {
 	}
 }
 
+func TestReserveThenPrepend(t *testing.T) {
+	b := New(14 + 5)
+	b.Reserve(14)
+	if b.Length() != 0 || b.Headroom() != 14 || b.Tailroom() != 5 {
+		t.Fatalf("after Reserve: len=%d headroom=%d tailroom=%d", b.Length(), b.Headroom(), b.Tailroom())
+	}
+	copy(b.Append(5), "hello")
+	b.Retreat(14)
+	copy(b.Data(), "ethernet-hdr::")
+	if string(b.Data()) != "ethernet-hdr::hello" || b.Headroom() != 0 {
+		t.Fatalf("after Retreat: %q headroom=%d", b.Data(), b.Headroom())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reserve past the tailroom did not panic")
+		}
+	}()
+	New(4).Reserve(5)
+}
+
 func TestViewPanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -40,6 +60,7 @@ func TestViewPanics(t *testing.T) {
 		{"append-overflow", func(b *IOBuf) { b.Append(1000) }},
 		{"trim-overflow", func(b *IOBuf) { b.TrimEnd(11) }},
 		{"advance-negative", func(b *IOBuf) { b.Advance(-1) }},
+		{"reserve-nonempty", func(b *IOBuf) { b.Reserve(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

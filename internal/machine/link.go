@@ -19,16 +19,19 @@ type Link struct {
 	DropFn func(index uint64, f Frame) bool
 
 	a, b       Port
-	aBusyUntil sim.Time // a -> b direction
-	bBusyUntil sim.Time // b -> a direction
+	toA, toB   func(Frame) // a.Send and b.Send, bound once
+	aBusyUntil sim.Time    // a -> b direction
+	bBusyUntil sim.Time    // b -> a direction
 	frameIndex uint64
+	hops       hopPool
 }
 
 // NewLink creates a 10GbE-like link between two NICs and attaches both.
 func NewLink(k *sim.Kernel, a, b *NIC) *Link {
-	l := &Link{K: k, BitsPerSecond: 10e9, Propagation: 300 * sim.Nanosecond}
+	l := &Link{K: k, BitsPerSecond: 10e9, Propagation: 300 * sim.Nanosecond, hops: hopPool{k: k}}
 	l.a = PortOf(a)
 	l.b = PortOf(b)
+	l.toA, l.toB = l.a.Send, l.b.Send
 	a.Attach(linkEnd{l, true})
 	b.Attach(linkEnd{l, false})
 	return l
@@ -46,10 +49,10 @@ func (l *Link) send(f Frame, fromA bool) {
 	}
 	now := l.K.Now()
 	busy := &l.aBusyUntil
-	dst := l.b
+	dst := l.toB
 	if !fromA {
 		busy = &l.bBusyUntil
-		dst = l.a
+		dst = l.toA
 	}
 	start := now
 	if *busy > start {
@@ -57,7 +60,7 @@ func (l *Link) send(f Frame, fromA bool) {
 	}
 	txDone := start + l.serialization(f.Len())
 	*busy = txDone
-	l.K.At(txDone+l.Propagation, func() { dst.Send(f) })
+	l.hops.at(txDone+l.Propagation, f, dst)
 }
 
 // linkEnd is the Port a NIC transmits into.
@@ -86,16 +89,17 @@ type Switch struct {
 	ports      []*switchPort
 	table      map[MAC]*switchPort
 	frameIndex uint64
+	hops       hopPool
 }
 
 // NewSwitch creates an empty switch.
 func NewSwitch(k *sim.Kernel) *Switch {
-	return &Switch{K: k, BitsPerSecond: 10e9, Latency: 500 * sim.Nanosecond, table: map[MAC]*switchPort{}}
+	return &Switch{K: k, BitsPerSecond: 10e9, Latency: 500 * sim.Nanosecond, table: map[MAC]*switchPort{}, hops: hopPool{k: k}}
 }
 
 // Connect attaches a NIC to a new switch port.
 func (s *Switch) Connect(n *NIC) {
-	p := &switchPort{sw: s, nic: n}
+	p := &switchPort{sw: s, deliver: n.Deliver}
 	s.ports = append(s.ports, p)
 	n.Attach(p)
 }
@@ -136,12 +140,12 @@ func (s *Switch) deliver(f Frame, out *switchPort) {
 	}
 	done := start + sim.Time(float64(f.Len()*8)/s.BitsPerSecond*1e9)
 	out.busyUntil = done
-	s.K.At(done, func() { out.nic.Deliver(f) })
+	s.hops.at(done, f, out.deliver)
 }
 
 type switchPort struct {
 	sw        *Switch
-	nic       *NIC
+	deliver   func(Frame) // the attached NIC's Deliver, bound once
 	busyUntil sim.Time
 }
 

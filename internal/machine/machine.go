@@ -60,6 +60,10 @@ type Machine struct {
 	Cfg   Config
 	Cores []*Core
 	NICs  []*NIC
+
+	// hops carries the frames and interrupts this machine's NICs
+	// schedule.
+	hops hopPool
 }
 
 // New creates a machine attached to the kernel.
@@ -77,7 +81,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 		cfg.NICQueues = 1
 	}
 	cfg.Costs.applyDefaults()
-	m := &Machine{K: k, Cfg: cfg}
+	m := &Machine{K: k, Cfg: cfg, hops: hopPool{k: k}}
 	perNode := (cfg.Cores + cfg.NumaNodes - 1) / cfg.NumaNodes
 	for i := 0; i < cfg.Cores; i++ {
 		m.Cores = append(m.Cores, &Core{
@@ -103,7 +107,7 @@ func (m *Machine) String() string { return m.Cfg.Name }
 // Interrupt semantics: a raised vector is delivered immediately - by
 // calling the dispatcher - only when interrupts are enabled and the core is
 // halted. Otherwise it is latched and the runtime collects it with
-// TakePending when it re-enables interrupts, exactly the window the paper's
+// PopPending when it re-enables interrupts, exactly the window the paper's
 // event loop opens between events.
 type Core struct {
 	M    *Machine
@@ -111,7 +115,7 @@ type Core struct {
 	Node int
 
 	dispatcher  func(vec int)
-	pending     []int
+	pending     sim.FIFO[int]
 	intsEnabled bool
 	halted      bool
 }
@@ -131,11 +135,11 @@ func (c *Core) RaiseIRQ(vec int) {
 		c.dispatcher(vec)
 		return
 	}
-	c.pending = append(c.pending, vec)
+	c.pending.Push(vec)
 }
 
 // EnableInterrupts sets the interrupt flag (does not drain latched vectors;
-// use TakePending for that, mirroring the explicit window in the event loop).
+// use PopPending for that, mirroring the explicit window in the event loop).
 func (c *Core) EnableInterrupts() { c.intsEnabled = true }
 
 // DisableInterrupts clears the interrupt flag.
@@ -152,14 +156,11 @@ func (c *Core) Halt() { c.halted = true }
 func (c *Core) Halted() bool { return c.halted }
 
 // HasPending reports whether latched vectors await collection.
-func (c *Core) HasPending() bool { return len(c.pending) > 0 }
+func (c *Core) HasPending() bool { return c.pending.Len() > 0 }
 
-// TakePending returns and clears all latched vectors in arrival order.
-func (c *Core) TakePending() []int {
-	p := c.pending
-	c.pending = nil
-	return p
-}
+// PopPending removes and returns the oldest latched vector; ok is false
+// when none is latched. The rest stay latched, in arrival order.
+func (c *Core) PopPending() (vec int, ok bool) { return c.pending.Pop() }
 
 // Cycles converts cycles to time at the machine's clock.
 func (c *Core) Cycles(n float64) sim.Time { return c.M.Cycles(n) }

@@ -56,24 +56,19 @@ type Port interface {
 type RxQueue struct {
 	nic        *NIC
 	idx        int
-	ring       []Frame
+	ring       sim.FIFO[Frame]
 	irqEnabled bool
 	vector     int
 	core       *Core
+	// inject is q.raise as a func value, bound by SetIRQ.
+	inject func(Frame)
 }
 
 // Len reports queued frames.
-func (q *RxQueue) Len() int { return len(q.ring) }
+func (q *RxQueue) Len() int { return q.ring.Len() }
 
 // Pop removes and returns the oldest frame; ok is false when empty.
-func (q *RxQueue) Pop() (Frame, bool) {
-	if len(q.ring) == 0 {
-		return Frame{}, false
-	}
-	f := q.ring[0]
-	q.ring = q.ring[1:]
-	return f, true
-}
+func (q *RxQueue) Pop() (Frame, bool) { return q.ring.Pop() }
 
 // SetIRQ binds the queue to an interrupt vector on a core. Drivers allocate
 // the vector from their event manager and program it here.
@@ -81,13 +76,18 @@ func (q *RxQueue) SetIRQ(core *Core, vector int) {
 	q.core = core
 	q.vector = vector
 	q.irqEnabled = true
+	q.inject = q.raise
 }
+
+// raise is the end of the hypervisor's interrupt-injection hop, which
+// carries no frame.
+func (q *RxQueue) raise(Frame) { q.core.RaiseIRQ(q.vector) }
 
 // EnableIRQ re-enables the queue interrupt (leave polling mode). If frames
 // are already queued, the interrupt fires immediately so none are stranded.
 func (q *RxQueue) EnableIRQ() {
 	q.irqEnabled = true
-	if len(q.ring) > 0 && q.core != nil {
+	if q.ring.Len() > 0 && q.core != nil {
 		q.core.RaiseIRQ(q.vector)
 	}
 }
@@ -107,6 +107,10 @@ type NIC struct {
 	Queues []*RxQueue
 	peer   Port
 	down   bool
+	// toPeer is peer.Send and arrive is n.enqueue, as func values bound
+	// once so that no frame builds a method value.
+	toPeer func(Frame)
+	arrive func(Frame)
 
 	// Stats
 	TxFrames, RxFrames sim.Counter
@@ -119,6 +123,7 @@ type NIC struct {
 // NewNIC attaches a NIC with the configured number of receive queues.
 func NewNIC(m *Machine, mac MAC) *NIC {
 	n := &NIC{M: m, Mac: mac}
+	n.arrive = n.enqueue
 	for i := 0; i < m.Cfg.NICQueues; i++ {
 		n.Queues = append(n.Queues, &RxQueue{nic: n, idx: i})
 	}
@@ -127,7 +132,10 @@ func NewNIC(m *Machine, mac MAC) *NIC {
 }
 
 // Attach connects the NIC to a port (link endpoint or switch port).
-func (n *NIC) Attach(p Port) { n.peer = p }
+func (n *NIC) Attach(p Port) {
+	n.peer = p
+	n.toPeer = p.Send
+}
 
 // SetUp raises or cuts the NIC's connection to its port. A down NIC
 // silently discards frames in both directions - the machine is
@@ -160,7 +168,7 @@ func (n *NIC) Transmit(f Frame, extraDelay sim.Time) {
 	if n.M.Cfg.Virtualized {
 		d += costs.VirtioKick + costs.VhostPerPacket
 	}
-	n.M.K.After(d, func() { n.peer.Send(f) })
+	n.M.hops.at(n.M.K.Now()+d, f, n.toPeer)
 }
 
 // TxCPUCost reports the CPU time the transmitting core spends in the device
@@ -183,25 +191,29 @@ func (n *NIC) Deliver(f Frame) {
 		n.DroppedFrames.Inc()
 		return
 	}
-	f = Frame{Buf: iobuf.FromBytes(f.Buf.CopyOut()), Hash: f.Hash}
+	f = Frame{Buf: iobuf.Wrap(f.Buf.CopyOut()), Hash: f.Hash}
 	costs := &n.M.Cfg.Costs
 	d := costs.RxCopy(f.Len())
 	if n.M.Cfg.Virtualized {
 		d += costs.VhostPerPacket
 	}
-	n.M.K.After(d, func() {
-		n.RxFrames.Inc()
-		n.RxBytes.AddN(uint64(f.Len()))
-		q := n.Queues[int(f.Hash)%len(n.Queues)]
-		q.ring = append(q.ring, f)
-		if q.irqEnabled && q.core != nil {
-			if n.M.Cfg.Virtualized {
-				n.M.K.After(costs.IRQInject, func() { q.core.RaiseIRQ(q.vector) })
-			} else {
-				q.core.RaiseIRQ(q.vector)
-			}
+	n.M.hops.at(n.M.K.Now()+d, f, n.arrive)
+}
+
+// enqueue places an arrived frame on its receive queue and, if the queue
+// is unmasked, injects the queue's interrupt.
+func (n *NIC) enqueue(f Frame) {
+	n.RxFrames.Inc()
+	n.RxBytes.AddN(uint64(f.Len()))
+	q := n.Queues[int(f.Hash)%len(n.Queues)]
+	q.ring.Push(f)
+	if q.irqEnabled && q.core != nil {
+		if n.M.Cfg.Virtualized {
+			n.M.hops.at(n.M.K.Now()+n.M.Cfg.Costs.IRQInject, Frame{}, q.inject)
+		} else {
+			q.core.RaiseIRQ(q.vector)
 		}
-	})
+	}
 }
 
 // nicPort adapts a NIC as the receiving end of a Port.
@@ -211,3 +223,42 @@ func (p nicPort) Send(f Frame) { p.n.Deliver(f) }
 
 // PortOf returns a Port that delivers into the NIC, for wiring links.
 func PortOf(n *NIC) Port { return nicPort{n} }
+
+// hop is one frame, or one interrupt, in flight between two points of
+// the model. Records are recycled through their pool's free list and
+// bind their fire func once, so a hop allocates nothing once the pool
+// has grown to the number in flight.
+type hop struct {
+	pool *hopPool
+	f    Frame
+	to   func(Frame)
+	fire func()
+}
+
+// hopPool is the free list of one machine's, switch's or link's hops.
+type hopPool struct {
+	k    *sim.Kernel
+	free []*hop
+}
+
+// at schedules to(f) at virtual time t.
+func (p *hopPool) at(t sim.Time, f Frame, to func(Frame)) {
+	var h *hop
+	if n := len(p.free); n > 0 {
+		h = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		h = &hop{pool: p}
+		h.fire = h.run
+	}
+	h.f, h.to = f, to
+	p.k.At(t, h.fire)
+}
+
+// run releases the record, then hands its frame on.
+func (h *hop) run() {
+	f, to := h.f, h.to
+	h.f, h.to = Frame{}, nil
+	h.pool.free = append(h.pool.free, h)
+	to(f)
+}

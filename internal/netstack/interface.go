@@ -160,28 +160,48 @@ func (itf *Interface) Route(dst Ipv4Addr) (Ipv4Addr, error) {
 	return Ipv4Addr{}, fmt.Errorf("netstack: no route to %v (off subnet, no gateway)", dst)
 }
 
-// EthArpSend routes an IP packet, resolves the next-hop MAC (possibly
-// asynchronously via ARP), prepends the Ethernet header, and transmits.
-// This is the code path of the paper's Figure 2, expressed with the same
-// monadic-future structure.
+// sent is the future EthArpSend returns for a frame that left at once.
+var sent = future.Ready(future.Unit{})
+
+// EthArpSend routes an IP packet, resolves the next-hop MAC, prepends the
+// Ethernet header, and transmits. This is the code path of the paper's
+// Figure 2: a broadcast or a cached ARP entry takes the synchronous fast
+// path, transmitting before EthArpSend returns an already-fulfilled
+// future; only an ARP miss chains the send onto the resolution future.
 func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *iobuf.IOBuf, flowHash uint32) future.Future[future.Unit] {
 	localDst, err := itf.Route(dst)
 	if err != nil {
 		return future.Fail[future.Unit](err)
 	}
-	var fmac future.Future[EthAddr]
-	if localDst.IsBroadcast() {
-		fmac = future.Ready(machine.Broadcast)
-	} else {
-		fmac = itf.arpFind(c, localDst)
+	mac := machine.Broadcast
+	if !localDst.IsBroadcast() {
+		var ok bool
+		if mac, ok = itf.arp.entries[localDst]; !ok {
+			return future.ThenOK(itf.arpFind(c, localDst), func(mac EthAddr) (future.Unit, error) {
+				itf.ethSend(c, proto, mac, buf, flowHash)
+				return future.Unit{}, nil
+			})
+		}
 	}
-	return future.ThenOK(fmac, func(mac EthAddr) (future.Unit, error) {
-		hdrBuf := iobuf.New(EthHeaderLen)
-		writeEth(hdrBuf.Append(EthHeaderLen), EthHeader{Dst: mac, Src: itf.NIC.Mac, Type: proto})
-		hdrBuf.AppendChain(buf)
-		itf.transmit(c, hdrBuf, flowHash)
-		return future.Unit{}, nil
-	})
+	itf.ethSend(c, proto, mac, buf, flowHash)
+	return sent
+}
+
+// ethSend puts the Ethernet header on buf and transmits it. The header
+// goes into buf's headroom when it has EthHeaderLen to spare (paper §3.6:
+// headers are prepended in place); otherwise it goes in a buffer of its
+// own, chained in front.
+func (itf *Interface) ethSend(c *event.Ctx, proto uint16, mac EthAddr, buf *iobuf.IOBuf, flowHash uint32) {
+	frame := buf
+	if buf.Headroom() >= EthHeaderLen {
+		buf.Retreat(EthHeaderLen)
+	} else {
+		frame = iobuf.New(EthHeaderLen)
+		frame.Append(EthHeaderLen)
+		frame.AppendChain(buf)
+	}
+	writeEth(frame.Data(), EthHeader{Dst: mac, Src: itf.NIC.Mac, Type: proto})
+	itf.transmit(c, frame, flowHash)
 }
 
 // transmit charges the device-path CPU cost and hands the frame chain to

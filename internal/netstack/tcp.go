@@ -148,7 +148,8 @@ type TcpPcb struct {
 	sndUna, sndNxt uint32
 	sndWnd         uint32
 	inflight       []segment
-	rtoEvent       *sim.Event
+	rtoEvent       sim.Event // zero while the timer is not running
+	onRTO          event.Handler
 	rtoBackoff     int
 	rexmitSince    sim.Time // start of the current retransmission episode (0 = none)
 
@@ -167,7 +168,7 @@ type TcpPcb struct {
 	// ACK would deadlock the sender forever. The persist timer probes
 	// with one already-acked byte to force a fresh ACK (and window) out
 	// of the peer.
-	persistEvent   *sim.Event
+	persistEvent   sim.Event // zero while the timer is not running
 	persistBackoff int
 
 	// Receive state.
@@ -395,10 +396,12 @@ func (p *TcpPcb) sendRawSegment(c *event.Ctx, seq, ack uint32, flags byte, data 
 	p.transmitFrame(c, p.buildFrame(seq, ack, flags, data))
 }
 
-// buildFrame assembles ip+tcp headers plus payload into one IOBuf.
+// buildFrame assembles ip+tcp headers plus payload into one IOBuf, with
+// headroom for the Ethernet header.
 func (p *TcpPcb) buildFrame(seq, ack uint32, flags byte, data []byte) *iobuf.IOBuf {
 	total := Ipv4HeaderLen + TcpHeaderLen + len(data)
-	buf := iobuf.New(total)
+	buf := iobuf.New(EthHeaderLen + total)
+	buf.Reserve(EthHeaderLen)
 	writeIpv4(buf.Append(Ipv4HeaderLen), Ipv4Header{
 		TotalLen: uint16(total),
 		TTL:      64,
@@ -491,28 +494,33 @@ func (p *TcpPcb) CurrentRTO() sim.Time {
 
 // armRTO starts the retransmission timer if not running.
 func (p *TcpPcb) armRTO() {
-	if p.rtoEvent != nil {
+	if p.rtoEvent != (sim.Event{}) {
 		return
 	}
-	mgr := p.itf.St.Mgrs[p.core]
-	p.rtoEvent = mgr.After(p.rtoInterval(), func(c *event.Ctx) {
-		p.rtoEvent = nil
-		if len(p.inflight) == 0 {
-			return
-		}
-		now := c.Now()
-		if p.rexmitSince == 0 {
-			p.rexmitSince = now
-		} else if now-p.rexmitSince > p.itf.St.Cfg.MaxRetransmitTime {
-			p.teardown(c, fmt.Errorf("netstack: too many retransmissions"))
-			return
-		}
-		p.rtoBackoff++
-		// Retransmit the earliest unacked segment (go-back-one; the
-		// simulated links do not reorder).
-		p.retransmitSegment(c, &p.inflight[0])
-		p.armRTO()
-	})
+	if p.onRTO == nil {
+		p.onRTO = p.rtoFired // bound once: arming builds no closure
+	}
+	p.rtoEvent = p.itf.St.Mgrs[p.core].After(p.rtoInterval(), p.onRTO)
+}
+
+// rtoFired is the retransmission timer's handler.
+func (p *TcpPcb) rtoFired(c *event.Ctx) {
+	p.rtoEvent = sim.Event{}
+	if len(p.inflight) == 0 {
+		return
+	}
+	now := c.Now()
+	if p.rexmitSince == 0 {
+		p.rexmitSince = now
+	} else if now-p.rexmitSince > p.itf.St.Cfg.MaxRetransmitTime {
+		p.teardown(c, fmt.Errorf("netstack: too many retransmissions"))
+		return
+	}
+	p.rtoBackoff++
+	// Retransmit the earliest unacked segment (go-back-one; the
+	// simulated links do not reorder).
+	p.retransmitSegment(c, &p.inflight[0])
+	p.armRTO()
 }
 
 // retransmitSegment rebuilds and resends one in-flight segment. The
@@ -531,10 +539,8 @@ func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
 }
 
 func (p *TcpPcb) cancelRTO() {
-	if p.rtoEvent != nil {
-		p.rtoEvent.Cancel()
-		p.rtoEvent = nil
-	}
+	p.rtoEvent.Cancel()
+	p.rtoEvent = sim.Event{}
 }
 
 // armPersist starts the zero-window probe timer if not running. Probes
@@ -542,7 +548,7 @@ func (p *TcpPcb) cancelRTO() {
 // until an ACK reopens the window (or the connection dies): without
 // them, a lost window-update ACK leaves both sides waiting forever.
 func (p *TcpPcb) armPersist() {
-	if p.persistEvent != nil {
+	if p.persistEvent != (sim.Event{}) {
 		return
 	}
 	cfg := &p.itf.St.Cfg
@@ -556,7 +562,7 @@ func (p *TcpPcb) armPersist() {
 	}
 	mgr := p.itf.St.Mgrs[p.core]
 	p.persistEvent = mgr.After(iv, func(c *event.Ctx) {
-		p.persistEvent = nil
+		p.persistEvent = sim.Event{}
 		if p.state == tcpClosed || p.sndWnd != 0 {
 			return
 		}
@@ -574,10 +580,8 @@ func (p *TcpPcb) armPersist() {
 
 func (p *TcpPcb) cancelPersist() {
 	p.persistBackoff = 0
-	if p.persistEvent != nil {
-		p.persistEvent.Cancel()
-		p.persistEvent = nil
-	}
+	p.persistEvent.Cancel()
+	p.persistEvent = sim.Event{}
 }
 
 func (p *TcpPcb) teardown(c *event.Ctx, err error) {
@@ -637,12 +641,13 @@ func (t *tcpLayer) queueAck(pcb *TcpPcb) {
 
 // flushAcks sends coalesced ACKs at the end of a receive batch.
 func (t *tcpLayer) flushAcks(c *event.Ctx) {
-	q := t.ackQueue
-	t.ackQueue = nil
-	for _, pcb := range q {
+	for i := 0; i < len(t.ackQueue); i++ {
+		pcb := t.ackQueue[i]
+		t.ackQueue[i] = nil
 		pcb.queuedAck = false
 		pcb.flushAck(c)
 	}
+	t.ackQueue = t.ackQueue[:0]
 }
 
 func (p *TcpPcb) flushAck(c *event.Ctx) {

@@ -375,3 +375,37 @@ func TestTcpRetransmitBackoffResets(t *testing.T) {
 		t.Fatalf("backoff %d after recovery, want 0", p.client.rtoBackoff)
 	}
 }
+
+// tcpSegmentAllocs is the pinned allocation count of one data segment's
+// round trip on an established connection with a cached ARP entry: the
+// sender's event, the segment's frame, its in-flight payload copy, the
+// retransmission timer's kernel callback, the receiver's NIC copy and
+// event, and the ACK coming back. Lower it when the path gets cheaper; a
+// rise is a regression.
+const tcpSegmentAllocs = 14
+
+func TestTcpSegmentAllocBudget(t *testing.T) {
+	n := newTestNet(t, 1, 1)
+	p := establishTcp(t, n, ConnHandler{}, ConnHandler{}, nil)
+	n.k.RunUntil(10 * sim.Millisecond)
+	if p.client == nil || p.client.State() != "Established" {
+		t.Fatal("connection not established")
+	}
+	payload := iobuf.Wrap(make([]byte, 512))
+	send := func(c *event.Ctx) {
+		if err := p.client.Send(c, payload); err != nil {
+			t.Error(err)
+		}
+	}
+	acked := func() bool { return p.client.sndUna == p.client.sndNxt }
+	allocs := testing.AllocsPerRun(200, func() {
+		n.spawnA(send)
+		n.k.RunFor(100 * sim.Microsecond)
+	})
+	if !acked() {
+		t.Fatal("segments still unacknowledged after the runs")
+	}
+	if allocs != tcpSegmentAllocs {
+		t.Fatalf("one data segment's round trip allocates %.0f objects, pinned at %d", allocs, tcpSegmentAllocs)
+	}
+}

@@ -39,26 +39,29 @@ func (t Time) Micros() float64 { return float64(t) / 1e3 }
 // String renders the time with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Micros()) }
 
-// Event is a scheduled callback. It may be cancelled before it fires.
+// Event is a handle to a scheduled callback: a small value that names
+// the kernel slot the event holds plus the generation it was issued
+// under. Popping an event frees its slot for reuse under the next
+// generation, so a handle kept past its event can never cancel a later
+// event that reuses the slot. The zero Event names no event.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	canceled bool
-	fired    bool
+	k    *Kernel
+	slot int32
+	gen  uint32
 }
 
-// At reports the virtual time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op. Cancel reports whether the
-// event was still pending.
-func (e *Event) Cancel() bool {
-	if e.canceled || e.fired {
+// already fired or been cancelled, or the zero Event, is a no-op. Cancel
+// reports whether the event was still pending.
+func (e Event) Cancel() bool {
+	if e.k == nil {
 		return false
 	}
-	e.canceled = true
+	s := &e.k.slots[e.slot]
+	if s.gen != e.gen || s.canceled {
+		return false
+	}
+	s.canceled = true
 	return true
 }
 
@@ -76,15 +79,34 @@ type Kernel struct {
 	now   Time
 	seq   uint64
 	queue eventQueue
+	// slots holds per-event cancellation state, indexed by the queue
+	// entries and the handles; free lists the slots not in use.
+	slots []slot
+	free  []int32
 	// fired counts events executed; useful for debugging runaway loops.
 	fired uint64
 	// drv is the goroutine driving the current Run, RunUntil or Step
 	// call; nil between calls.
 	drv *driver
+	// spare is a finished call kept for the next Run, RunUntil or Step,
+	// and startDriver is k.loop on k.drv as a func value made once: with
+	// both, a call allocates nothing.
+	spare       *call
+	startDriver func()
+}
+
+// slot is the cancellation state of the event holding it.
+type slot struct {
+	gen      uint32
+	canceled bool
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
-func NewKernel() *Kernel { return &Kernel{} }
+func NewKernel() *Kernel {
+	k := &Kernel{}
+	k.startDriver = func() { k.loop(k.drv) }
+	return k
+}
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -93,7 +115,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Pending() int {
 	n := 0
 	for _, e := range k.queue {
-		if !e.canceled {
+		if !k.slots[e.slot].canceled {
 			n++
 		}
 	}
@@ -105,19 +127,26 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 
 // At schedules fn to run at virtual time t. Scheduling in the past is a
 // programming error and panics: it would silently reorder causality.
-func (k *Kernel) At(t Time, fn func()) *Event {
+func (k *Kernel) At(t Time, fn func()) Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	e := &Event{at: t, seq: k.seq, fn: fn}
+	var s int32
+	if n := len(k.free); n > 0 {
+		s = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		s = int32(len(k.slots))
+		k.slots = append(k.slots, slot{})
+	}
+	k.queue.push(entry{at: t, seq: k.seq, fn: fn, slot: s})
 	k.seq++
-	k.queue.push(e)
-	return e
+	return Event{k: k, slot: s, gen: k.slots[s].gen}
 }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
 // Negative delays are clamped to zero.
-func (k *Kernel) After(d Time, fn func()) *Event {
+func (k *Kernel) After(d Time, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
@@ -155,7 +184,7 @@ func (k *Kernel) Detach() {
 	}
 	d.detached = true
 	k.drv = &driver{call: d.call}
-	go k.loop(k.drv)
+	go k.startDriver()
 }
 
 // call is one Run, RunUntil or Step invocation.
@@ -164,6 +193,9 @@ type call struct {
 	single bool     // Step: stop after one event
 	fired  bool     // an event fired (Step's result)
 	done   chan any // the final driver sends nil, or a callback's panic
+	// drv0 is the driver the call starts on. A call whose drv0 detached
+	// is never reused: that driver's goroutine still reads it.
+	drv0 driver
 }
 
 // driver is one goroutine driving a call's loop.
@@ -178,12 +210,21 @@ var errGoexit = errors.New("sim: event callback exited its goroutine without Det
 
 // drive runs one call's loop on a driver goroutine and waits for it.
 func (k *Kernel) drive(limit Time, single bool) bool {
-	c := &call{limit: limit, single: single, done: make(chan any, 1)}
+	c := k.spare
+	if c == nil {
+		c = &call{done: make(chan any, 1)}
+	}
+	k.spare = nil
+	c.limit, c.single, c.fired = limit, single, false
+	c.drv0 = driver{call: c}
 	outer := k.drv
-	k.drv = &driver{call: c}
-	go k.loop(k.drv)
+	k.drv = &c.drv0
+	go k.startDriver()
 	p := <-c.done
 	k.drv = outer
+	if !c.drv0.detached {
+		k.spare = c
+	}
 	if p != nil {
 		panic(p)
 	}
@@ -205,13 +246,12 @@ func (k *Kernel) loop(d *driver) {
 		c.done <- p
 	}()
 	for !(c.single && c.fired) {
-		e := k.queue.popUntil(c.limit)
-		if e == nil {
+		e, ok := k.pop(c.limit)
+		if !ok {
 			break
 		}
 		c.fired = true
 		k.now = e.at
-		e.fired = true
 		k.fired++
 		e.fn()
 	}
@@ -219,20 +259,50 @@ func (k *Kernel) loop(d *driver) {
 	c.done <- nil
 }
 
-// eventQueue is a binary min-heap of events ordered by (time, sequence).
-// The order is total, so the pop sequence is fully determined.
-type eventQueue []*Event
+// pop removes and returns the earliest live event at or before limit,
+// releasing the slot of every event it takes off the queue and
+// discarding the cancelled ones it meets at the top.
+func (k *Kernel) pop(limit Time) (entry, bool) {
+	for len(k.queue) > 0 {
+		top := &k.queue[0]
+		s := &k.slots[top.slot]
+		if !s.canceled && top.at > limit {
+			break
+		}
+		e := k.queue.popTop()
+		canceled := s.canceled
+		s.gen++
+		s.canceled = false
+		k.free = append(k.free, e.slot)
+		if !canceled {
+			return e, true
+		}
+	}
+	return entry{}, false
+}
 
-func (e *Event) before(o *Event) bool {
+// entry is one scheduled event as the queue holds it, by value.
+type entry struct {
+	at   Time
+	seq  uint64
+	fn   func()
+	slot int32
+}
+
+func (e *entry) before(o *entry) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-func (q *eventQueue) push(e *Event) {
+// eventQueue is a binary min-heap of entries ordered by (time, sequence).
+// The order is total, so the pop sequence is fully determined.
+type eventQueue []entry
+
+func (q *eventQueue) push(e entry) {
 	h := append(*q, e)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.before(h[p]) {
+		if !e.before(&h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -242,31 +312,23 @@ func (q *eventQueue) push(e *Event) {
 	*q = h
 }
 
-// popUntil removes and returns the earliest live event at or before
-// limit, discarding cancelled events it meets at the top; nil if none.
-func (q *eventQueue) popUntil(limit Time) *Event {
-	for h := *q; len(h) > 0; h = *q {
-		e := h[0]
-		if !e.canceled && e.at > limit {
-			return nil
-		}
-		n := len(h) - 1
-		last := h[n]
-		h[n] = nil
-		h = h[:n]
-		if n > 0 {
-			siftDown(h, last)
-		}
-		*q = h
-		if !e.canceled {
-			return e
-		}
+// popTop removes and returns the root of a non-empty heap.
+func (q *eventQueue) popTop() entry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	if n > 0 {
+		siftDown(h, last)
 	}
-	return nil
+	*q = h
+	return top
 }
 
 // siftDown places e, taken from the tail, into the hole at the root.
-func siftDown(h []*Event, e *Event) {
+func siftDown(h []entry, e entry) {
 	n := len(h)
 	i := 0
 	for {
@@ -274,10 +336,10 @@ func siftDown(h []*Event, e *Event) {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
+		if r := c + 1; r < n && h[r].before(&h[c]) {
 			c = r
 		}
-		if !h[c].before(e) {
+		if !h[c].before(&e) {
 			break
 		}
 		h[i] = h[c]

@@ -67,6 +67,63 @@ func TestKernelCancelAfterFire(t *testing.T) {
 	}
 }
 
+func TestKernelZeroEventCancelsNothing(t *testing.T) {
+	var e Event
+	if e.Cancel() {
+		t.Fatal("zero Event Cancel returned true")
+	}
+}
+
+// A handle whose event has fired must not cancel a later event that
+// reuses the same slot.
+func TestKernelStaleHandleCannotCancelReusedSlot(t *testing.T) {
+	k := NewKernel()
+	stale := k.At(1, func() {})
+	k.Run()
+	fired := false
+	fresh := k.At(2, func() { fired = true })
+	if fresh.slot != stale.slot {
+		t.Fatalf("fresh event took slot %d, want the freed slot %d", fresh.slot, stale.slot)
+	}
+	if stale.Cancel() {
+		t.Fatal("stale handle cancelled the event reusing its slot")
+	}
+	k.Run()
+	if !fired {
+		t.Fatal("event reusing a freed slot did not fire")
+	}
+	// The same holds for a slot freed by a cancelled event.
+	cancelled := k.At(3, func() {})
+	cancelled.Cancel()
+	k.Run()
+	fired = false
+	fresh = k.At(4, func() { fired = true })
+	if fresh.slot != cancelled.slot || cancelled.Cancel() {
+		t.Fatal("cancelled handle cancelled the event reusing its slot")
+	}
+	k.Run()
+	if !fired {
+		t.Fatal("event reusing a cancelled slot did not fire")
+	}
+}
+
+// Once the queue and slot table have grown, scheduling and firing an
+// event allocates nothing.
+func TestKernelAtStepAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.After(Time(i), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.After(100, fn)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var times []Time
@@ -178,4 +235,42 @@ func BenchmarkKernelAtStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
+}
+
+func TestFIFOOrderAndRewind(t *testing.T) {
+	var q FIFO[int]
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop on empty FIFO reported an item")
+	}
+	next := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5; i++ {
+			q.Push(round*10 + i)
+		}
+		// Interleave pushes with pops: order stays first-in first-out.
+		for want := round * 10; q.Len() > 0; want++ {
+			if want == round*10+2 {
+				q.Push(round*10 + 5)
+			}
+			v, ok := q.Pop()
+			if !ok || v != want {
+				t.Fatalf("round %d: Pop = %d, %v; want %d", round, v, ok, want)
+			}
+			next = want
+		}
+		if next != round*10+5 {
+			t.Fatalf("round %d ended at %d", round, next)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 6; i++ {
+			q.Push(i)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a drained FIFO allocates %.1f objects on reuse, want 0", allocs)
+	}
 }
