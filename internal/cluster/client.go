@@ -1011,7 +1011,7 @@ func (r *clientRep) dial(c *event.Ctx, backend int) *clientConn {
 // arrives in time.
 type inflightOp struct {
 	cb    Callback
-	timer sim.Event
+	timer event.Timer
 }
 
 // clientConn multiplexes requests over one TCP connection, matching

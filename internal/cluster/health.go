@@ -68,7 +68,7 @@ type HealthMonitor struct {
 	states []backendHealth
 	byNode map[hosted.NodeId]int
 	seq    uint64
-	ticker sim.Event
+	ticker event.Timer
 	// mu guards evictedAt/restoredAt: they are written from the monitor
 	// callback on the simulation goroutine but read through the accessors
 	// by experiment code and tests, possibly from other goroutines.

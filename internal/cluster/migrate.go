@@ -237,7 +237,7 @@ type migrationRun struct {
 	done      []bool
 	attempt   []int
 	scrubbing []bool
-	timers    []sim.Event
+	timers    []event.Timer
 	left      int
 	drain     int // backend being drained (live decommission), -1 otherwise
 }
@@ -393,7 +393,7 @@ func (m *Migrator) start(kind string, prev *Ring, plan []MoveRange, drain int) {
 		done:      make([]bool, len(jobs)),
 		attempt:   make([]int, len(jobs)),
 		scrubbing: make([]bool, len(jobs)),
-		timers:    make([]sim.Event, len(jobs)),
+		timers:    make([]event.Timer, len(jobs)),
 		left:      len(jobs),
 		drain:     drain,
 	}

@@ -84,7 +84,9 @@ type Manager struct {
 
 	synth      sim.FIFO[synthItem]
 	idle       []*IdleHandler
-	timerReady sim.FIFO[Handler]
+	timerReady sim.FIFO[*timer]
+	// timers holds timer records free for reuse.
+	timers []*timer
 	// step is m.process as a func value, made once: every event
 	// schedules it, and a fresh method value would allocate each time.
 	step func()
@@ -115,8 +117,12 @@ func NewManager(core *machine.Core, costs Costs) *Manager {
 	m.handlers[VecTimer] = func(c *Ctx) {
 		// Timers that fire while these run raise VecTimer again.
 		for n := m.timerReady.Len(); n > 0; n-- {
-			fn, _ := m.timerReady.Pop()
-			fn(c)
+			t, _ := m.timerReady.Pop()
+			fn := t.fn
+			t.release()
+			if fn != nil { // nil: cancelled while it waited
+				fn(c)
+			}
 		}
 	}
 	core.SetDispatcher(m.onIRQ)
@@ -151,11 +157,69 @@ func (m *Manager) Spawn(fn Handler) {
 }
 
 // After schedules fn to run as a timer event after d of virtual time.
-func (m *Manager) After(d sim.Time, fn Handler) sim.Event {
-	return m.k.After(d, func() {
-		m.timerReady.Push(fn)
-		m.core.RaiseIRQ(VecTimer)
-	})
+func (m *Manager) After(d sim.Time, fn Handler) Timer {
+	var t *timer
+	if n := len(m.timers); n > 0 {
+		t = m.timers[n-1]
+		m.timers = m.timers[:n-1]
+	} else {
+		t = &timer{m: m}
+		t.fire = t.expire
+	}
+	t.fn = fn
+	t.ev = m.k.After(d, t.fire)
+	return Timer{t: t, gen: t.gen}
+}
+
+// Timer is a handle to a timer set with Manager.After. The zero Timer
+// names no timer.
+type Timer struct {
+	t   *timer
+	gen uint32
+}
+
+// Cancel stops the timer's handler from running and reports whether it
+// was still pending. It holds until the handler runs: both while the
+// timer's kernel event is scheduled and after it has fired, while the
+// handler waits behind VecTimer for the core. Cancelling a timer whose
+// handler has run or that was already cancelled, or the zero Timer, is a
+// no-op.
+func (h Timer) Cancel() bool {
+	t := h.t
+	if t == nil || t.gen != h.gen || t.fn == nil {
+		return false
+	}
+	t.fn = nil
+	if t.ev.Cancel() {
+		t.release() // never fired; a latched one is released on dispatch
+	}
+	return true
+}
+
+// timer is one timer from After until its handler runs or it is
+// cancelled. Records are reused through the manager's free list, each
+// under a new generation, so a handle kept past its timer names nothing.
+type timer struct {
+	m    *Manager
+	gen  uint32
+	fn   Handler   // nil once cancelled
+	ev   sim.Event // the kernel event, until it fires
+	fire func()    // t.expire, bound once
+}
+
+// expire is the timer's kernel event: it latches the timer behind the
+// core's timer interrupt.
+func (t *timer) expire() {
+	t.ev = sim.Event{}
+	t.m.timerReady.Push(t)
+	t.m.core.RaiseIRQ(VecTimer)
+}
+
+func (t *timer) release() {
+	t.gen++
+	t.fn = nil
+	t.ev = sim.Event{}
+	t.m.timers = append(t.m.timers, t)
 }
 
 // AddIdleHandler installs fn to be invoked on every pass of the event loop

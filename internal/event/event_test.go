@@ -189,6 +189,42 @@ func TestTimerCancel(t *testing.T) {
 	k.Run()
 }
 
+// A timer whose kernel event has fired waits behind VecTimer until the
+// core takes the interrupt; cancelling it in that window must still stop
+// its handler. Here the cancel comes from a device interrupt latched
+// ahead of VecTimer while the core is busy.
+func TestTimerCancelWhileLatched(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	var timer Timer
+	cancelled := false
+	vec := m.AllocateVector(func(*Ctx) { cancelled = timer.Cancel() })
+	m.Spawn(func(c *Ctx) { c.Charge(10 * sim.Microsecond) })
+	k.At(2*sim.Microsecond, func() { m.Core().RaiseIRQ(vec) })
+	timer = m.After(5*sim.Microsecond, func(*Ctx) { t.Fatal("cancelled timer ran") })
+	k.Run()
+	if !cancelled {
+		t.Fatal("Cancel of a latched timer reported false")
+	}
+	if timer.Cancel() {
+		t.Fatal("second Cancel reported true")
+	}
+	// The record is free again, under a new generation: the old handle
+	// names nothing, and the reused timer runs.
+	ran := false
+	next := m.After(sim.Microsecond, func(*Ctx) { ran = true })
+	if next.t != timer.t {
+		t.Fatal("the released timer record was not reused")
+	}
+	if timer.Cancel() {
+		t.Fatal("stale handle cancelled the timer reusing its record")
+	}
+	k.Run()
+	if !ran {
+		t.Fatal("timer reusing a released record did not run")
+	}
+}
+
 func TestBlockAndResume(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	m := mgrs[0]

@@ -148,7 +148,7 @@ type TcpPcb struct {
 	sndUna, sndNxt uint32
 	sndWnd         uint32
 	inflight       []segment
-	rtoEvent       sim.Event // zero while the timer is not running
+	rtoEvent       event.Timer // zero while the timer is not running
 	onRTO          event.Handler
 	rtoBackoff     int
 	rexmitSince    sim.Time // start of the current retransmission episode (0 = none)
@@ -168,7 +168,7 @@ type TcpPcb struct {
 	// ACK would deadlock the sender forever. The persist timer probes
 	// with one already-acked byte to force a fresh ACK (and window) out
 	// of the peer.
-	persistEvent   sim.Event // zero while the timer is not running
+	persistEvent   event.Timer // zero while the timer is not running
 	persistBackoff int
 
 	// Receive state.
@@ -494,7 +494,7 @@ func (p *TcpPcb) CurrentRTO() sim.Time {
 
 // armRTO starts the retransmission timer if not running.
 func (p *TcpPcb) armRTO() {
-	if p.rtoEvent != (sim.Event{}) {
+	if p.rtoEvent != (event.Timer{}) {
 		return
 	}
 	if p.onRTO == nil {
@@ -505,7 +505,7 @@ func (p *TcpPcb) armRTO() {
 
 // rtoFired is the retransmission timer's handler.
 func (p *TcpPcb) rtoFired(c *event.Ctx) {
-	p.rtoEvent = sim.Event{}
+	p.rtoEvent = event.Timer{}
 	if len(p.inflight) == 0 {
 		return
 	}
@@ -540,7 +540,7 @@ func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
 
 func (p *TcpPcb) cancelRTO() {
 	p.rtoEvent.Cancel()
-	p.rtoEvent = sim.Event{}
+	p.rtoEvent = event.Timer{}
 }
 
 // armPersist starts the zero-window probe timer if not running. Probes
@@ -548,7 +548,7 @@ func (p *TcpPcb) cancelRTO() {
 // until an ACK reopens the window (or the connection dies): without
 // them, a lost window-update ACK leaves both sides waiting forever.
 func (p *TcpPcb) armPersist() {
-	if p.persistEvent != (sim.Event{}) {
+	if p.persistEvent != (event.Timer{}) {
 		return
 	}
 	cfg := &p.itf.St.Cfg
@@ -562,7 +562,7 @@ func (p *TcpPcb) armPersist() {
 	}
 	mgr := p.itf.St.Mgrs[p.core]
 	p.persistEvent = mgr.After(iv, func(c *event.Ctx) {
-		p.persistEvent = sim.Event{}
+		p.persistEvent = event.Timer{}
 		if p.state == tcpClosed || p.sndWnd != 0 {
 			return
 		}
@@ -581,7 +581,7 @@ func (p *TcpPcb) armPersist() {
 func (p *TcpPcb) cancelPersist() {
 	p.persistBackoff = 0
 	p.persistEvent.Cancel()
-	p.persistEvent = sim.Event{}
+	p.persistEvent = event.Timer{}
 }
 
 func (p *TcpPcb) teardown(c *event.Ctx, err error) {

@@ -379,10 +379,9 @@ func TestTcpRetransmitBackoffResets(t *testing.T) {
 // tcpSegmentAllocs is the pinned allocation count of one data segment's
 // round trip on an established connection with a cached ARP entry: the
 // sender's event, the segment's frame, its in-flight payload copy, the
-// retransmission timer's kernel callback, the receiver's NIC copy and
-// event, and the ACK coming back. Lower it when the path gets cheaper; a
+// receiver's NIC copy and event, and the ACK coming back. Lower it when the path gets cheaper; a
 // rise is a regression.
-const tcpSegmentAllocs = 14
+const tcpSegmentAllocs = 13
 
 func TestTcpSegmentAllocBudget(t *testing.T) {
 	n := newTestNet(t, 1, 1)
