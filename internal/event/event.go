@@ -338,11 +338,13 @@ func (m *Manager) process() {
 
 // Ctx is the context of the currently executing event. It provides virtual
 // CPU accounting and the save/restore blocking facility. A Ctx is only
-// valid during its event's execution.
+// valid during its event's execution: charging one whose event has
+// finished panics, since the charge would be lost.
 type Ctx struct {
 	m      *Manager
 	act    *activation // nil until the event first blocks
 	charge sim.Time
+	done   bool // the event has finished
 }
 
 // Manager returns the event manager for the executing core.
@@ -356,16 +358,27 @@ func (c *Ctx) Now() sim.Time { return c.m.k.Now() }
 
 // Charge accounts d of CPU time to the current event.
 func (c *Ctx) Charge(d sim.Time) {
+	c.live()
 	if d > 0 {
 		c.charge += d
+	}
+}
+
+// live panics if c's event has finished.
+func (c *Ctx) live() {
+	if c.done {
+		panic("event: Ctx used after its event finished")
 	}
 }
 
 // ChargeCycles accounts n CPU cycles at the core's clock rate.
 func (c *Ctx) ChargeCycles(n float64) { c.Charge(c.m.core.Cycles(n)) }
 
-// Charged reports the total accounted so far (for tests).
-func (c *Ctx) Charged() sim.Time { return c.charge }
+// Charged reports the total accounted so far.
+func (c *Ctx) Charged() sim.Time {
+	c.live()
+	return c.charge
+}
 
 // Block suspends the current event (the paper's "save event state"),
 // letting the core process other events. register receives a resume
@@ -415,6 +428,7 @@ func (c *Ctx) Block(register func(resume func())) {
 // reports done (or its panic) to the goroutine that resumed it and exits
 // instead of returning into them.
 func (c *Ctx) finish() {
+	c.done = true
 	act := c.act
 	if act == nil {
 		return

@@ -172,22 +172,15 @@ func TestFileSystemOffload(t *testing.T) {
 	var names []string
 	var readErr error
 	native.Spawn(func(c *event.Ctx) {
-		// Write via the native rep: function-ships to the frontend.
-		fs.Write(c, native, "/etc/config", []byte("port=11211")).OnDone(func(r future.Result[future.Unit]) {
-			if _, err := r.Get(); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-			fs.Read(c, native, "/etc/config").OnDone(func(r future.Result[[]byte]) {
-				readBack, readErr = r.Get()
-			})
-			fs.Stat(c, native, "/etc/config").OnDone(func(r future.Result[uint64]) {
-				size, _ = r.Get()
-			})
-			fs.List(c, native).OnDone(func(r future.Result[[]string]) {
-				names, _ = r.Get()
-			})
-		})
+		// Write via the native rep: function-ships to the frontend. The
+		// event blocks on each reply, so every call runs on a live Ctx.
+		if _, err := fs.Write(c, native, "/etc/config", []byte("port=11211")).Block(c); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		readBack, readErr = fs.Read(c, native, "/etc/config").Block(c)
+		size, _ = fs.Stat(c, native, "/etc/config").Block(c)
+		names, _ = fs.List(c, native).Block(c)
 	})
 	sys.K.RunUntil(5 * sim.Second)
 	if readErr != nil {

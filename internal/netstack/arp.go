@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ebbrt/internal/event"
-	"ebbrt/internal/future"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/machine"
 )
@@ -15,41 +14,47 @@ import (
 // the representative coordination behind the Ebb interface.
 type arpCache struct {
 	entries map[Ipv4Addr]EthAddr
-	pending map[Ipv4Addr][]future.Promise[EthAddr]
+	pending map[Ipv4Addr][]arpWaiter
 }
+
+// arpWaiter is work parked on an unresolved address. It runs on the
+// event that settles the resolution - the ARP reply's receive event, or
+// the timeout's timer event - and is handed that event's Ctx, so what it
+// charges lands on the event doing the work, not on the long-finished
+// event that hit the miss.
+type arpWaiter func(c *event.Ctx, mac EthAddr, err error)
 
 func newArpCache() *arpCache {
 	return &arpCache{
 		entries: map[Ipv4Addr]EthAddr{},
-		pending: map[Ipv4Addr][]future.Promise[EthAddr]{},
+		pending: map[Ipv4Addr][]arpWaiter{},
 	}
 }
 
-// arpFind resolves ip to a MAC address. Cached entries fulfill the future
-// synchronously (the fast path the paper notes); otherwise an ARP request
-// goes out and the future fulfills on reply or fails on timeout.
-func (itf *Interface) arpFind(c *event.Ctx, ip Ipv4Addr) future.Future[EthAddr] {
+// arpFind resolves ip to a MAC address and hands it to w. A cached entry
+// runs w at once, on c (the fast path the paper notes); otherwise an ARP
+// request goes out and w runs on the reply or fails on timeout.
+func (itf *Interface) arpFind(c *event.Ctx, ip Ipv4Addr, w arpWaiter) {
 	if mac, ok := itf.arp.entries[ip]; ok {
-		return future.Ready(mac)
+		w(c, mac, nil)
+		return
 	}
-	p := future.NewPromise[EthAddr]()
 	first := len(itf.arp.pending[ip]) == 0
-	itf.arp.pending[ip] = append(itf.arp.pending[ip], p)
+	itf.arp.pending[ip] = append(itf.arp.pending[ip], w)
 	if first {
 		itf.sendArp(c, arpOpRequest, machine.Broadcast, ip)
-		mgr := c.Manager()
-		mgr.After(itf.St.Cfg.ArpTimeout, func(*event.Ctx) {
+		c.Manager().After(itf.St.Cfg.ArpTimeout, func(c *event.Ctx) {
 			waiters := itf.arp.pending[ip]
 			if len(waiters) == 0 {
 				return // resolved in time
 			}
 			delete(itf.arp.pending, ip)
+			err := fmt.Errorf("netstack: arp timeout resolving %v", ip)
 			for _, w := range waiters {
-				w.SetError(fmt.Errorf("netstack: arp timeout resolving %v", ip))
+				w(c, EthAddr{}, err)
 			}
 		})
 	}
-	return p.Future()
 }
 
 func (itf *Interface) sendArp(c *event.Ctx, op uint16, targetHW EthAddr, targetIP Ipv4Addr) {
@@ -81,7 +86,7 @@ func (itf *Interface) receiveArp(c *event.Ctx, buf *iobuf.IOBuf) {
 		if waiters, ok := itf.arp.pending[pkt.SenderIP]; ok {
 			delete(itf.arp.pending, pkt.SenderIP)
 			for _, w := range waiters {
-				w.SetValue(pkt.SenderHW)
+				w(c, pkt.SenderHW, nil)
 			}
 		}
 	}

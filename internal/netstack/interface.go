@@ -167,7 +167,9 @@ var sent = future.Ready(future.Unit{})
 // Ethernet header, and transmits. This is the code path of the paper's
 // Figure 2: a broadcast or a cached ARP entry takes the synchronous fast
 // path, transmitting before EthArpSend returns an already-fulfilled
-// future; only an ARP miss chains the send onto the resolution future.
+// future. On an ARP miss the send waits for the resolution and runs on
+// the event that settles it; the returned future fulfills then, or fails
+// if the resolution times out.
 func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *iobuf.IOBuf, flowHash uint32) future.Future[future.Unit] {
 	localDst, err := itf.Route(dst)
 	if err != nil {
@@ -177,10 +179,16 @@ func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *
 	if !localDst.IsBroadcast() {
 		var ok bool
 		if mac, ok = itf.arp.entries[localDst]; !ok {
-			return future.ThenOK(itf.arpFind(c, localDst), func(mac EthAddr) (future.Unit, error) {
+			p := future.NewPromise[future.Unit]()
+			itf.arpFind(c, localDst, func(c *event.Ctx, mac EthAddr, err error) {
+				if err != nil {
+					p.SetError(err)
+					return
+				}
 				itf.ethSend(c, proto, mac, buf, flowHash)
-				return future.Unit{}, nil
+				p.SetValue(future.Unit{})
 			})
+			return p.Future()
 		}
 	}
 	itf.ethSend(c, proto, mac, buf, flowHash)

@@ -12,7 +12,6 @@ import (
 )
 
 // Shorthands for future results used by callbacks in this file.
-type futureResult = future.Result[EthAddr]
 type dhcpResult = future.Result[DhcpLease]
 
 // testNet wires two single- or multi-core machines with stacks over a link.
@@ -52,15 +51,16 @@ func TestArpResolution(t *testing.T) {
 	n := newTestNet(t, 1, 1)
 	var mac EthAddr
 	resolved := false
+	var asked, answered *event.Ctx
 	n.spawnA(func(c *event.Ctx) {
-		n.itfA.arpFind(c, IP(10, 0, 0, 2)).OnDone(func(r futureResult) {
-			m, err := r.Get()
+		asked = c
+		n.itfA.arpFind(c, IP(10, 0, 0, 2), func(c *event.Ctx, m EthAddr, err error) {
 			if err != nil {
 				t.Errorf("arp: %v", err)
 				return
 			}
-			mac = m
-			resolved = true
+			mac, resolved, answered = m, true, c
+			c.Charge(1) // the reply's event is live
 		})
 	})
 	n.k.RunUntil(10 * sim.Millisecond)
@@ -70,13 +70,15 @@ func TestArpResolution(t *testing.T) {
 	if mac != (EthAddr{0, 0, 0, 0, 0, 2}) {
 		t.Fatalf("resolved %v", mac)
 	}
+	if answered == asked {
+		t.Fatal("a miss's waiter ran with the Ctx of the event that hit the miss")
+	}
 	// Second resolution must be synchronous (cached).
 	sync := false
 	n.spawnA(func(c *event.Ctx) {
-		f := n.itfA.arpFind(c, IP(10, 0, 0, 2))
-		if _, ok := f.Poll(); ok {
-			sync = true
-		}
+		n.itfA.arpFind(c, IP(10, 0, 0, 2), func(got *event.Ctx, _ EthAddr, _ error) {
+			sync = got == c
+		})
 	})
 	n.k.RunUntil(20 * sim.Millisecond)
 	if !sync {
@@ -88,8 +90,9 @@ func TestArpTimeout(t *testing.T) {
 	n := newTestNet(t, 1, 1)
 	var gotErr error
 	n.spawnA(func(c *event.Ctx) {
-		n.itfA.arpFind(c, IP(10, 0, 0, 99)).OnDone(func(r futureResult) {
-			_, gotErr = r.Get()
+		n.itfA.arpFind(c, IP(10, 0, 0, 99), func(c *event.Ctx, _ EthAddr, err error) {
+			gotErr = err
+			c.Charge(1) // the timeout's event is live
 		})
 	})
 	n.k.RunUntil(2 * sim.Second)
