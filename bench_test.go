@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), one bench per artifact. Absolute values are recorded in
-// EXPERIMENTS.md; run with:
+// evaluation (§4), one bench per artifact; each reports its artifact's
+// headline numbers as custom metrics. Run with:
 //
 //	go test -bench=. -benchmem
 package ebbrt_test
@@ -107,8 +107,8 @@ func BenchmarkFigure3JemallocStyleAlloc(b *testing.B) {
 }
 
 // BenchmarkFigure3ContentionModel reports the modelled 24-core glibc
-// degradation factor (see EXPERIMENTS.md for why the model substitutes for
-// real 24-core hardware here).
+// degradation factor (internal/experiments/figure3.go explains why the
+// model substitutes for real 24-core hardware here).
 func BenchmarkFigure3ContentionModel(b *testing.B) {
 	var rows []experiments.Figure3Row
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,5 @@
 // Command ebbrt-all regenerates every table and figure of the paper's
-// evaluation in one run, printing each section; this is the source of the
-// measured numbers recorded in EXPERIMENTS.md.
+// evaluation in one run, printing each section.
 package main
 
 import (

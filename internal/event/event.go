@@ -156,7 +156,8 @@ func (m *Manager) Spawn(fn Handler) {
 	m.kick()
 }
 
-// After schedules fn to run as a timer event after d of virtual time.
+// After schedules fn to run as a timer event after d of virtual time and
+// returns a handle that can cancel it.
 func (m *Manager) After(d sim.Time, fn Handler) Timer {
 	var t *timer
 	if n := len(m.timers); n > 0 {

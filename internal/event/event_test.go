@@ -225,6 +225,36 @@ func TestTimerCancelWhileLatched(t *testing.T) {
 	}
 }
 
+// A charge to a finished event would be lost, so it panics; so does
+// reading the finished event's total. Both hold for an event that
+// blocked and was resumed before it finished.
+func TestFinishedCtxPanics(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	var plain, resumed *Ctx
+	m.Spawn(func(c *Ctx) { plain = c })
+	m.Spawn(func(c *Ctx) {
+		resumed = c
+		c.Block(func(resume func()) { m.After(sim.Microsecond, func(*Ctx) { resume() }) })
+		c.Charge(sim.Nanosecond) // live again after the resume
+	})
+	k.Run()
+	for name, use := range map[string]func(){
+		"Charge":         func() { plain.Charge(1) },
+		"Charged":        func() { plain.Charged() },
+		"resumed Charge": func() { resumed.Charge(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a finished event's Ctx did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
 func TestBlockAndResume(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	m := mgrs[0]

@@ -18,8 +18,7 @@ type Link struct {
 	// retransmission tests. Deterministic by construction.
 	DropFn func(index uint64, f Frame) bool
 
-	a, b       Port
-	toA, toB   func(Frame) // a.Send and b.Send, bound once
+	toA, toB   func(Frame) // the end NICs' Deliver, bound once
 	aBusyUntil sim.Time    // a -> b direction
 	bBusyUntil sim.Time    // b -> a direction
 	frameIndex uint64
@@ -29,9 +28,7 @@ type Link struct {
 // NewLink creates a 10GbE-like link between two NICs and attaches both.
 func NewLink(k *sim.Kernel, a, b *NIC) *Link {
 	l := &Link{K: k, BitsPerSecond: 10e9, Propagation: 300 * sim.Nanosecond, hops: hopPool{k: k}}
-	l.a = PortOf(a)
-	l.b = PortOf(b)
-	l.toA, l.toB = l.a.Send, l.b.Send
+	l.toA, l.toB = a.Deliver, b.Deliver
 	a.Attach(linkEnd{l, true})
 	b.Attach(linkEnd{l, false})
 	return l

@@ -105,10 +105,9 @@ type NIC struct {
 	M      *Machine
 	Mac    MAC
 	Queues []*RxQueue
-	peer   Port
 	down   bool
-	// toPeer is peer.Send and arrive is n.enqueue, as func values bound
-	// once so that no frame builds a method value.
+	// toPeer is the attached port's Send and arrive is n.enqueue, as
+	// func values bound once so that no frame builds a method value.
 	toPeer func(Frame)
 	arrive func(Frame)
 
@@ -132,10 +131,7 @@ func NewNIC(m *Machine, mac MAC) *NIC {
 }
 
 // Attach connects the NIC to a port (link endpoint or switch port).
-func (n *NIC) Attach(p Port) {
-	n.peer = p
-	n.toPeer = p.Send
-}
+func (n *NIC) Attach(p Port) { n.toPeer = p.Send }
 
 // SetUp raises or cuts the NIC's connection to its port. A down NIC
 // silently discards frames in both directions - the machine is
@@ -154,7 +150,7 @@ func (n *NIC) Up() bool { return !n.down }
 // execution model). The guest pays the virtio kick; the host side charges
 // vhost processing before the wire.
 func (n *NIC) Transmit(f Frame, extraDelay sim.Time) {
-	if n.peer == nil {
+	if n.toPeer == nil {
 		panic("machine: NIC transmit with no attached port")
 	}
 	if n.down {

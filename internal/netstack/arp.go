@@ -31,14 +31,10 @@ func newArpCache() *arpCache {
 	}
 }
 
-// arpFind resolves ip to a MAC address and hands it to w. A cached entry
-// runs w at once, on c (the fast path the paper notes); otherwise an ARP
-// request goes out and w runs on the reply or fails on timeout.
-func (itf *Interface) arpFind(c *event.Ctx, ip Ipv4Addr, w arpWaiter) {
-	if mac, ok := itf.arp.entries[ip]; ok {
-		w(c, mac, nil)
-		return
-	}
+// arpResolve parks w until ip, which is not in the cache, resolves. The
+// first waiter for an address sends the ARP request; w runs on the reply
+// or fails on timeout.
+func (itf *Interface) arpResolve(c *event.Ctx, ip Ipv4Addr, w arpWaiter) {
 	first := len(itf.arp.pending[ip]) == 0
 	itf.arp.pending[ip] = append(itf.arp.pending[ip], w)
 	if first {

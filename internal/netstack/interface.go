@@ -180,7 +180,7 @@ func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *
 		var ok bool
 		if mac, ok = itf.arp.entries[localDst]; !ok {
 			p := future.NewPromise[future.Unit]()
-			itf.arpFind(c, localDst, func(c *event.Ctx, mac EthAddr, err error) {
+			itf.arpResolve(c, localDst, func(c *event.Ctx, mac EthAddr, err error) {
 				if err != nil {
 					p.SetError(err)
 					return

@@ -54,7 +54,7 @@ func TestArpResolution(t *testing.T) {
 	var asked, answered *event.Ctx
 	n.spawnA(func(c *event.Ctx) {
 		asked = c
-		n.itfA.arpFind(c, IP(10, 0, 0, 2), func(c *event.Ctx, m EthAddr, err error) {
+		n.itfA.arpResolve(c, IP(10, 0, 0, 2), func(c *event.Ctx, m EthAddr, err error) {
 			if err != nil {
 				t.Errorf("arp: %v", err)
 				return
@@ -73,12 +73,11 @@ func TestArpResolution(t *testing.T) {
 	if answered == asked {
 		t.Fatal("a miss's waiter ran with the Ctx of the event that hit the miss")
 	}
-	// Second resolution must be synchronous (cached).
+	// A send to the cached address must leave synchronously.
 	sync := false
 	n.spawnA(func(c *event.Ctx) {
-		n.itfA.arpFind(c, IP(10, 0, 0, 2), func(got *event.Ctx, _ EthAddr, _ error) {
-			sync = got == c
-		})
+		f := n.itfA.EthArpSend(c, EtherTypeIPv4, IP(10, 0, 0, 2), iobuf.FromBytes(make([]byte, Ipv4HeaderLen)), 0)
+		sync = f.Done()
 	})
 	n.k.RunUntil(20 * sim.Millisecond)
 	if !sync {
@@ -90,7 +89,7 @@ func TestArpTimeout(t *testing.T) {
 	n := newTestNet(t, 1, 1)
 	var gotErr error
 	n.spawnA(func(c *event.Ctx) {
-		n.itfA.arpFind(c, IP(10, 0, 0, 99), func(c *event.Ctx, _ EthAddr, err error) {
+		n.itfA.arpResolve(c, IP(10, 0, 0, 99), func(c *event.Ctx, _ EthAddr, err error) {
 			gotErr = err
 			c.Charge(1) // the timeout's event is live
 		})
