@@ -269,7 +269,7 @@ func (s *FileSink) Close() error {
 }
 
 // ReadEvents parses a JSON-lines event stream back into events - the
-// round-trip benchguard uses to gate on a run's event log.
+// round-trip `ebbrt guard` uses to gate on a run's event log.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)

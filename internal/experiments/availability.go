@@ -10,19 +10,10 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// AvailabilityOptions tunes the failure-under-load experiment. The zero
-// value selects a 4-backend, R=2 deployment killed mid-measurement.
+// AvailabilityOptions tunes the failure-under-load experiment: a
+// 4-backend, R=2 deployment of 1-core backends with backend 0 killed
+// mid-measurement. The zero value selects the defaults.
 type AvailabilityOptions struct {
-	// Backends is the native backend count (default 4).
-	Backends int
-	// CoresPerBackend sizes each backend (default 1).
-	CoresPerBackend int
-	// Replicas is the replication factor R (default 2).
-	Replicas int
-	// FrontendCores sizes the hosted frontend driving the load
-	// (default 4: the frontend is the client here, not a bottleneck
-	// under study).
-	FrontendCores int
 	// TargetRPS is the offered load (default 40000).
 	TargetRPS float64
 	// Duration is the measured window (default 160ms).
@@ -32,18 +23,6 @@ type AvailabilityOptions struct {
 	KillAt sim.Time
 	// ReviveAt, when positive, revives the victim at that offset.
 	ReviveAt sim.Time
-	// KillBackend selects the victim (default 0).
-	KillBackend int
-	// Bucket is the timeline resolution (default 2ms).
-	Bucket sim.Time
-	// RequestTimeout bounds one replica operation at the client
-	// (default 4ms) so reads fail over before the monitor evicts.
-	RequestTimeout sim.Time
-	// Health tunes the failure detector (defaults per HealthConfig).
-	Health cluster.HealthConfig
-	// KeySpace sizes the ETC key population (default 4000, smaller
-	// than the full workload so prepopulation stays cheap).
-	KeySpace int
 	// Audit, when non-nil, receives the run's typed event stream:
 	// chaos.kill/chaos.revive markers from the fault injector here plus
 	// everything the cluster's state machines emit (missed beats,
@@ -53,18 +32,6 @@ type AvailabilityOptions struct {
 }
 
 func (o *AvailabilityOptions) applyDefaults() {
-	if o.Backends <= 0 {
-		o.Backends = 4
-	}
-	if o.CoresPerBackend <= 0 {
-		o.CoresPerBackend = 1
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 2
-	}
-	if o.FrontendCores <= 0 {
-		o.FrontendCores = 4
-	}
 	if o.TargetRPS <= 0 {
 		o.TargetRPS = 40000
 	}
@@ -74,16 +41,30 @@ func (o *AvailabilityOptions) applyDefaults() {
 	if o.KillAt <= 0 {
 		o.KillAt = 60 * sim.Millisecond
 	}
-	if o.Bucket <= 0 {
-		o.Bucket = 2 * sim.Millisecond
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 4 * sim.Millisecond
-	}
-	if o.KeySpace <= 0 {
-		o.KeySpace = 4000
-	}
 }
+
+// Shared by the cluster experiments that drive load through one hosted
+// frontend's client Ebb. The frontend gets 4 cores: it is the client,
+// not a bottleneck under study. The failure experiments kill or
+// decommission backend 0, bound one replica operation at the client to
+// 4ms so reads fail over before the health monitor evicts, and report
+// their timeline in 2ms buckets. Every workload draws from seed 42.
+const (
+	clientCores    = 4
+	victim         = 0
+	replicaTimeout = 4 * sim.Millisecond
+	bucket         = 2 * sim.Millisecond
+	seed           = 42
+)
+
+// The availability deployment: 4 backends at R=2, and an ETC key
+// population of 4000, smaller than the full workload so prepopulation
+// stays cheap.
+const (
+	availBackends = 4
+	availReplicas = 2
+	availKeySpace = 4000
+)
 
 // AvailabilityResult reports throughput and hit rate through a backend
 // failure: before the kill, during the failure window (kill to ring
@@ -147,21 +128,20 @@ func (a clusterKV) GetMulti(c *event.Ctx, keys [][]byte, done func(c *event.Ctx,
 // away under load.
 func Availability(opt AvailabilityOptions) AvailabilityResult {
 	opt.applyDefaults()
-	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		CoresPerBackend: opt.CoresPerBackend,
-		Replicas:        opt.Replicas,
-		FrontendCores:   opt.FrontendCores,
-		Audit:           opt.Audit,
+	cl := cluster.NewCluster(availBackends, cluster.Options{
+		Replicas:      availReplicas,
+		FrontendCores: clientCores,
+		Audit:         opt.Audit,
 	})
 	front := cl.Sys.Frontend()
 	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-		RequestTimeout: opt.RequestTimeout,
+		RequestTimeout: replicaTimeout,
 	})
-	mon := cluster.NewHealthMonitor(cl, front, opt.Health)
+	mon := cluster.NewHealthMonitor(cl, front, cluster.HealthConfig{})
 	k := cl.Sys.K
 	evictedAt, restoredAt := sim.Time(-1), sim.Time(-1)
 	cl.Watch(func(b int, up bool) {
-		if b != opt.KillBackend {
+		if b != victim {
 			return
 		}
 		if up {
@@ -173,15 +153,15 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 	mon.Start()
 
 	etc := load.DefaultETC()
-	etc.KeySpace = opt.KeySpace
-	victimNode := int(cl.Backends[opt.KillBackend].Node.Id)
+	etc.KeySpace = availKeySpace
+	victimNode := int(cl.Backends[victim].Node.Id)
 	events := []load.ChaosEvent{{
 		At: opt.KillAt,
 		Fn: func() {
 			if a := opt.Audit; a != nil {
-				a.Emit(k.Now(), victimNode, audit.NodeKilled, audit.Fields{"backend": opt.KillBackend})
+				a.Emit(k.Now(), victimNode, audit.NodeKilled, audit.Fields{"backend": victim})
 			}
-			cl.Backends[opt.KillBackend].Node.Kill()
+			cl.Backends[victim].Node.Kill()
 		},
 	}}
 	if opt.ReviveAt > 0 {
@@ -189,9 +169,9 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 			At: opt.ReviveAt,
 			Fn: func() {
 				if a := opt.Audit; a != nil {
-					a.Emit(k.Now(), victimNode, audit.NodeRevived, audit.Fields{"backend": opt.KillBackend})
+					a.Emit(k.Now(), victimNode, audit.NodeRevived, audit.Fields{"backend": victim})
 				}
-				cl.Backends[opt.KillBackend].Node.Revive()
+				cl.Backends[victim].Node.Revive()
 			},
 		})
 	}
@@ -199,8 +179,8 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 		TargetRPS: opt.TargetRPS,
 		Warmup:    10 * sim.Millisecond,
 		Duration:  opt.Duration,
-		Bucket:    opt.Bucket,
-		Seed:      42,
+		Bucket:    bucket,
+		Seed:      seed,
 		ETC:       etc,
 		Events:    events,
 	})
@@ -220,10 +200,10 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 	if failEnd < 0 {
 		failEnd = opt.KillAt + 25*sim.Millisecond
 	}
-	if failEnd-opt.KillAt < opt.Bucket {
-		failEnd = opt.KillAt + opt.Bucket
+	if failEnd-opt.KillAt < bucket {
+		failEnd = opt.KillAt + bucket
 	}
-	recoverFrom := failEnd + 2*opt.Bucket // settle past the eviction bucket
+	recoverFrom := failEnd + 2*bucket // settle past the eviction bucket
 	recoverTo := opt.Duration
 	if opt.ReviveAt > 0 && opt.ReviveAt < recoverTo {
 		recoverTo = opt.ReviveAt
@@ -237,7 +217,7 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 // FormatAvailability renders the run: phase summary plus the timeline.
 func FormatAvailability(r AvailabilityResult) string {
 	out := fmt.Sprintf("Availability: %d backends, R=%d, %.0f RPS offered, kill backend %d at %.0fms\n",
-		r.Opt.Backends, r.Opt.Replicas, r.Opt.TargetRPS, r.Opt.KillBackend, float64(r.Opt.KillAt)/1e6)
+		availBackends, availReplicas, r.Opt.TargetRPS, victim, float64(r.Opt.KillAt)/1e6)
 	if r.EvictedAt >= 0 {
 		out += fmt.Sprintf("  evicted at %.1fms (detection latency %.1fms)\n",
 			float64(r.EvictedAt)/1e6, float64(r.EvictedAt-r.Opt.KillAt)/1e6)

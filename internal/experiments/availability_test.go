@@ -72,7 +72,7 @@ func TestAvailabilityReviveRestores(t *testing.T) {
 	}
 }
 
-// TestAvailabilityAuditDeterministic runs benchguard's audited chaos
+// TestAvailabilityAuditDeterministic runs the guard's audited chaos
 // scenario - a kill, its eviction, client failover and the revive -
 // twice at the same seed and requires byte-identical event logs. Any
 // callback or send whose order follows Go's randomised map iteration

@@ -1,8 +1,6 @@
 // Package experiments contains one harness per measured result: the
 // tables and figures of the paper's evaluation (§4), and the
-// cluster-era experiments the repository has grown beyond them. The
-// cmd/ binaries and the repository's testing.B benchmarks are thin
-// wrappers over these functions.
+// cluster-era experiments the repository has grown beyond them.
 //
 // Paper reproductions: Table 1 (Ebb dispatch), Figure 3 (memory
 // allocation), Figures 4-6 (NetPIPE, memcached latency/throughput,
@@ -10,24 +8,21 @@
 //
 // Cluster experiments, each driving the sharded deployment in
 // internal/cluster under the ETC workload from internal/load:
+// ClusterScaling (throughput vs backend count), TextVsBinary (the ASCII
+// protocol's cost), Availability (a backend killed and revived under
+// replication), Elasticity (a join and a decommission, streamed vs
+// miss-faulting), HotKey (the client Ebb's hot-key cache against a
+// skewed tail), ReplicatedHotKey (the same at R=3 with salted write
+// spreading), Lossy (adaptive vs fixed RTO under frame loss),
+// MemoryPressure (bounded stores, LRU vs FIFO, with an expiry probe)
+// and FrontendScaling (hosted frontends, batched vs per-op).
 //
-//   - ClusterScaling (scaling.go): aggregate achieved throughput vs
-//     backend count; the keyspace shards by consistent hashing and each
-//     shard is driven over its own connection pool.
-//
-//   - Availability (availability.go): a backend is killed (and
-//     optionally revived) mid-run; the timeline reports detection
-//     latency, throughput, and hit rate through the failure under R-way
-//     replication.
-//
-//   - Elasticity (elasticity.go): a backend joins and another is
-//     decommissioned mid-run, with and without the Migrator streaming
-//     moved key shares; reports the hit-rate cliff the rebalancer
-//     removes and the time to restore full replication.
-//
-//   - TextVsBinary (textproto.go): the same load driven over the ASCII
-//     text protocol and the binary protocol against identical clusters;
-//     reports what text-mode compatibility costs at cluster scale.
+// The registry (registry.go, filled by scenarios.go) files each
+// experiment as a scenario with named presets, a text formatter and a
+// uniform Report of ordered metrics and gates; cmd/ebbrt runs it, and
+// its guard command writes the committed BENCH_*.json reports. The
+// repository's testing.B benchmarks call the experiment functions
+// directly.
 //
 // The experiments run on the deterministic simulation kernel, so every
 // number is exactly reproducible for a given seed.

@@ -13,17 +13,13 @@ import (
 // another is decommissioned later. The zero value selects a 3-backend,
 // R=1 deployment - the setting where elasticity hurts most, since
 // without replication a moved key has exactly one home and a removed
-// backend's keys have none.
+// backend's keys have none. Every backend, joined ones included, has
+// one core.
 type ElasticityOptions struct {
 	// Backends is the initial native backend count (default 3).
 	Backends int
-	// CoresPerBackend sizes each backend (default 1).
-	CoresPerBackend int
 	// Replicas is the replication factor R (default 1).
 	Replicas int
-	// FrontendCores sizes the hosted frontend driving the load
-	// (default 4).
-	FrontendCores int
 	// TargetRPS is the offered load (default 30000).
 	TargetRPS float64
 	// Duration is the measured window (default 240ms).
@@ -31,20 +27,12 @@ type ElasticityOptions struct {
 	// JoinAt is when the new backend joins, relative to measurement
 	// start (default 60ms).
 	JoinAt sim.Time
-	// DecommissionAt, when positive, removes DecommissionBackend at that
-	// offset (default 150ms; set negative to skip).
+	// DecommissionAt is when backend 0 is removed (default 150ms).
 	DecommissionAt sim.Time
-	// DecommissionBackend selects the backend to remove (default 0).
-	DecommissionBackend int
 	// KillBeforeDecommission makes the removal a permanent loss: the
 	// node dies and is evicted first, so re-replication must stream from
 	// surviving replicas instead of draining the node itself.
 	KillBeforeDecommission bool
-	// Bucket is the timeline resolution (default 2ms).
-	Bucket sim.Time
-	// RequestTimeout bounds one replica operation at the client
-	// (default 4ms).
-	RequestTimeout sim.Time
 	// KeySpace sizes the ETC key population (default 3000).
 	KeySpace int
 	// Stream selects the migration engine: true streams moved key shares
@@ -58,14 +46,8 @@ func (o *ElasticityOptions) applyDefaults() {
 	if o.Backends <= 0 {
 		o.Backends = 3
 	}
-	if o.CoresPerBackend <= 0 {
-		o.CoresPerBackend = 1
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
-	}
-	if o.FrontendCores <= 0 {
-		o.FrontendCores = 4
 	}
 	if o.TargetRPS <= 0 {
 		o.TargetRPS = 30000
@@ -76,14 +58,8 @@ func (o *ElasticityOptions) applyDefaults() {
 	if o.JoinAt <= 0 {
 		o.JoinAt = 60 * sim.Millisecond
 	}
-	if o.DecommissionAt == 0 {
+	if o.DecommissionAt <= 0 {
 		o.DecommissionAt = 150 * sim.Millisecond
-	}
-	if o.Bucket <= 0 {
-		o.Bucket = 2 * sim.Millisecond
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 4 * sim.Millisecond
 	}
 	if o.KeySpace <= 0 {
 		o.KeySpace = 3000
@@ -130,13 +106,12 @@ type ElasticityResult struct {
 func Elasticity(opt ElasticityOptions) ElasticityResult {
 	opt.applyDefaults()
 	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		CoresPerBackend: opt.CoresPerBackend,
-		Replicas:        opt.Replicas,
-		FrontendCores:   opt.FrontendCores,
+		Replicas:      opt.Replicas,
+		FrontendCores: clientCores,
 	})
 	front := cl.Sys.Frontend()
 	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-		RequestTimeout: opt.RequestTimeout,
+		RequestTimeout: replicaTimeout,
 	})
 
 	joinStream, restoreR := sim.Time(-1), sim.Time(-1)
@@ -163,49 +138,46 @@ func Elasticity(opt ElasticityOptions) ElasticityResult {
 		At: opt.JoinAt,
 		Fn: func() {
 			if opt.Stream {
-				mig.Join(opt.CoresPerBackend)
+				mig.Join(1)
 			} else {
-				cl.AddBackend(opt.CoresPerBackend)
+				cl.AddBackend(1)
 			}
 		},
 	}}
-	if opt.DecommissionAt > 0 {
-		victim := opt.DecommissionBackend
-		if opt.KillBeforeDecommission {
-			events = append(events, load.ChaosEvent{
-				At: opt.DecommissionAt - 5*sim.Millisecond,
-				Fn: func() {
-					cl.Backends[victim].Node.Kill()
-					cl.EvictBackend(victim)
-				},
-			})
-		}
+	if opt.KillBeforeDecommission {
 		events = append(events, load.ChaosEvent{
-			At: opt.DecommissionAt,
+			At: opt.DecommissionAt - 5*sim.Millisecond,
 			Fn: func() {
-				if !opt.Stream {
-					// The baseline has no re-replication: removal is an
-					// eviction, and the backend's key share is simply lost.
-					if cl.Live(victim) {
-						cl.EvictBackend(victim)
-					}
-					return
-				}
-				if mig.Active() {
-					// The join migration is still streaming (a tight
-					// schedule or a retry loop): decommission as soon as
-					// it concludes rather than panicking on overlap.
-					mig.OnComplete(func(*cluster.Migration) {
-						if !mig.Active() && !cl.Decommissioned(victim) {
-							mig.Decommission(victim)
-						}
-					})
-					return
-				}
-				mig.Decommission(victim)
+				cl.Backends[victim].Node.Kill()
+				cl.EvictBackend(victim)
 			},
 		})
 	}
+	events = append(events, load.ChaosEvent{
+		At: opt.DecommissionAt,
+		Fn: func() {
+			if !opt.Stream {
+				// The baseline has no re-replication: removal is an
+				// eviction, and the backend's key share is simply lost.
+				if cl.Live(victim) {
+					cl.EvictBackend(victim)
+				}
+				return
+			}
+			if mig.Active() {
+				// The join migration is still streaming (a tight
+				// schedule or a retry loop): decommission as soon as
+				// it concludes rather than panicking on overlap.
+				mig.OnComplete(func(*cluster.Migration) {
+					if !mig.Active() && !cl.Decommissioned(victim) {
+						mig.Decommission(victim)
+					}
+				})
+				return
+			}
+			mig.Decommission(victim)
+		},
+	})
 
 	etc := load.DefaultETC()
 	etc.KeySpace = opt.KeySpace
@@ -213,7 +185,7 @@ func Elasticity(opt ElasticityOptions) ElasticityResult {
 		TargetRPS: opt.TargetRPS,
 		Warmup:    10 * sim.Millisecond,
 		Duration:  opt.Duration,
-		Bucket:    opt.Bucket,
+		Bucket:    bucket,
 		Seed:      42,
 		ETC:       etc,
 		Events:    events,
@@ -224,15 +196,9 @@ func Elasticity(opt ElasticityOptions) ElasticityResult {
 		JoinStreamTime: joinStream, JoinMoved: joinMoved,
 		RestoreRTime: restoreR, DecommMoved: decommMoved,
 	}
-	postJoinEnd := opt.Duration
-	if opt.DecommissionAt > 0 {
-		postJoinEnd = opt.DecommissionAt
-	}
 	out.PreJoinRPS, out.PreJoinHitRate = res.WindowStats(0, opt.JoinAt)
-	out.PostJoinRPS, out.PostJoinHitRate = res.WindowStats(opt.JoinAt, postJoinEnd)
-	if opt.DecommissionAt > 0 {
-		out.PostDecommRPS, out.PostDecommHitRate = res.WindowStats(opt.DecommissionAt, opt.Duration)
-	}
+	out.PostJoinRPS, out.PostJoinHitRate = res.WindowStats(opt.JoinAt, opt.DecommissionAt)
+	out.PostDecommRPS, out.PostDecommHitRate = res.WindowStats(opt.DecommissionAt, opt.Duration)
 
 	// Replica census over the whole population: the fewest live replicas
 	// any key ended the run with.
@@ -264,32 +230,26 @@ func FormatElasticity(r ElasticityResult) string {
 	if r.Opt.Stream {
 		mode = "streamed migration"
 	}
-	out := fmt.Sprintf("Elasticity [%s]: %d backends, R=%d, %.0f RPS offered, join at %.0fms",
-		mode, r.Opt.Backends, r.Opt.Replicas, r.Opt.TargetRPS, float64(r.Opt.JoinAt)/1e6)
-	if r.Opt.DecommissionAt > 0 {
-		kind := "drain"
-		if r.Opt.KillBeforeDecommission {
-			kind = "dead"
-		}
-		out += fmt.Sprintf(", decommission backend %d (%s) at %.0fms",
-			r.Opt.DecommissionBackend, kind, float64(r.Opt.DecommissionAt)/1e6)
+	kind := "drain"
+	if r.Opt.KillBeforeDecommission {
+		kind = "dead"
 	}
-	out += "\n"
+	out := fmt.Sprintf("Elasticity [%s]: %d backends, R=%d, %.0f RPS offered, join at %.0fms, decommission backend %d (%s) at %.0fms\n",
+		mode, r.Opt.Backends, r.Opt.Replicas, r.Opt.TargetRPS, float64(r.Opt.JoinAt)/1e6,
+		victim, kind, float64(r.Opt.DecommissionAt)/1e6)
 	out += fmt.Sprintf("  pre-join:    %8.0f RPS  hit rate %.4f\n", r.PreJoinRPS, r.PreJoinHitRate)
 	out += fmt.Sprintf("  post-join:   %8.0f RPS  hit rate %.4f", r.PostJoinRPS, r.PostJoinHitRate)
 	if r.JoinStreamTime >= 0 {
 		out += fmt.Sprintf("  (share streamed in %.2fms, %d entries)", float64(r.JoinStreamTime)/1e6, r.JoinMoved)
 	}
 	out += "\n"
-	if r.Opt.DecommissionAt > 0 {
-		out += fmt.Sprintf("  post-decomm: %8.0f RPS  hit rate %.4f", r.PostDecommRPS, r.PostDecommHitRate)
-		if r.RestoreRTime >= 0 {
-			out += fmt.Sprintf("  (R restored in %.2fms, %d entries)", float64(r.RestoreRTime)/1e6, r.DecommMoved)
-		} else {
-			out += "  (R never restored)"
-		}
-		out += "\n"
+	out += fmt.Sprintf("  post-decomm: %8.0f RPS  hit rate %.4f", r.PostDecommRPS, r.PostDecommHitRate)
+	if r.RestoreRTime >= 0 {
+		out += fmt.Sprintf("  (R restored in %.2fms, %d entries)", float64(r.RestoreRTime)/1e6, r.DecommMoved)
+	} else {
+		out += "  (R never restored)"
 	}
+	out += "\n"
 	out += fmt.Sprintf("  replicas: min %d live of R=%d intended; fully replicated: %v\n",
 		r.MinLiveReplicas, r.Opt.Replicas, r.FullyReplicated)
 	out += fmt.Sprintf("  totals: %d completed, %d misses, %d network errors, mean %.1fus p99 %.1fus\n",

@@ -49,13 +49,28 @@ func FormatFigure4(series []Figure4Series) string {
 	return out
 }
 
+// ZeroCopyAblation isolates the paper's §3.6 zero-copy claim: EbbRT's
+// NetPIPE curve against the same stack copying every byte at the
+// application boundary.
+func ZeroCopyAblation(reps int) ([]Figure4Series, error) {
+	sizes := []int{64, 4096, 65536, 262144, 786432}
+	zero, err := netpipe.Run(testbed.EbbRT, sizes, reps)
+	if err != nil {
+		return nil, err
+	}
+	copied, err := netpipe.RunWithStack(testbed.EbbRT, sizes, reps, 0.12)
+	if err != nil {
+		return nil, err
+	}
+	return []Figure4Series{{"EbbRT", zero}, {"EbbRT+copy", copied}}, nil
+}
+
 // MemcachedOptions tunes the Figure 5/6 sweeps. The zero value is the
 // paper's configuration: one core, RCU store, adaptive polling on.
 type MemcachedOptions struct {
 	Cores          int
 	Store          string // "rcu" (default) or "locked" ablation
 	DisablePolling bool   // ablation: leave the driver interrupt-driven
-	Connections    int
 	Duration       sim.Time
 }
 
@@ -96,9 +111,6 @@ func memcachedPoint(kind testbed.ServerKind, rate float64, opt MemcachedOptions)
 		panic(err)
 	}
 	cfg := load.DefaultMutilate(rate)
-	if opt.Connections > 0 {
-		cfg.Connections = opt.Connections
-	}
 	if opt.Duration > 0 {
 		cfg.Duration = opt.Duration
 	}
@@ -131,14 +143,4 @@ func FormatMemcached(series []MemcachedSeries) string {
 		}
 	}
 	return out
-}
-
-// DefaultRatesSingleCore is the Figure 5 sweep (single-core servers).
-func DefaultRatesSingleCore() []float64 {
-	return []float64{25000, 50000, 75000, 100000, 125000, 150000, 175000, 200000, 250000, 300000, 350000}
-}
-
-// DefaultRatesFourCore is the Figure 6 sweep (four-core servers).
-func DefaultRatesFourCore() []float64 {
-	return []float64{100000, 200000, 300000, 400000, 500000, 600000, 700000, 800000, 900000, 1000000}
 }

@@ -9,73 +9,23 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// FrontendScalingOptions drives the frontend-tier scale-out matrix: N
-// hosted frontends x M native backends, with the batched submission
-// queue ablated against the per-op spine. The hosted tier is the
-// bottleneck under study, so its nodes are deliberately small and the
-// backends generously provisioned.
-type FrontendScalingOptions struct {
-	// FrontendCounts are the N values swept (default {1, 2, 3}).
-	FrontendCounts []int
-	// Backends is M, the native backend count (default 4).
-	Backends int
-	// CoresPerBackend sizes each backend (default 2: the backends must
-	// not be the ceiling being measured).
-	CoresPerBackend int
-	// FrontendCores sizes each hosted node (default 1, so the frontend
-	// saturates at smoke scale).
-	FrontendCores int
-	// PerFrontendRPS is each frontend's offered Poisson arrival rate
-	// (default 50000, just past the per-op spine's single-frontend
-	// ceiling at the other defaults). A read arrival expands to
-	// MultiGet key-reads, so the offered key-op rate is higher.
-	PerFrontendRPS float64
-	// MultiGet is the keys per read arrival (default 8).
-	MultiGet int
-	// MaxBatch caps one backend's reads per pipelined round in the
-	// batched arm (default cluster.DefaultMaxBatch). The per-op arm
-	// always runs MaxBatch 1.
-	MaxBatch int
-	// Duration is each point's measured window (default 40ms).
-	Duration sim.Time
-	// KeySpace sizes the ETC key population (default 3000).
-	KeySpace int
-	// Seed feeds the workload and arrival processes.
-	Seed uint64
-}
-
-func (o *FrontendScalingOptions) applyDefaults() {
-	if len(o.FrontendCounts) == 0 {
-		o.FrontendCounts = []int{1, 2, 3}
-	}
-	if o.Backends <= 0 {
-		o.Backends = 4
-	}
-	if o.CoresPerBackend <= 0 {
-		o.CoresPerBackend = 2
-	}
-	if o.FrontendCores <= 0 {
-		o.FrontendCores = 1
-	}
-	if o.PerFrontendRPS <= 0 {
-		o.PerFrontendRPS = 50000
-	}
-	if o.MultiGet <= 0 {
-		o.MultiGet = 8
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = cluster.DefaultMaxBatch
-	}
-	if o.Duration <= 0 {
-		o.Duration = 40 * sim.Millisecond
-	}
-	if o.KeySpace <= 0 {
-		o.KeySpace = 3000
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-}
+// The frontend-tier scale-out matrix: N hosted frontends x M native
+// backends, with the batched submission queue ablated against the
+// per-op spine. The hosted tier is the bottleneck under study, so its
+// nodes are deliberately small - one core, so a frontend saturates at
+// smoke scale - and the 4 backends generously provisioned with 2 cores
+// each. Each frontend offers 50000 Poisson read arrivals per second,
+// just past the per-op spine's single-frontend ceiling, and each
+// arrival expands to 8 key-reads, so the offered key-op rate is
+// higher.
+const (
+	frontBackends     = 4
+	frontBackendCores = 2
+	frontRPS          = 50000
+	frontMultiGet     = 8
+	frontKeySpace     = 3000
+	frontDuration     = 40 * sim.Millisecond
+)
 
 // FrontendCeilingPoint is one offered-vs-achieved sample of the
 // single-frontend profile.
@@ -90,7 +40,7 @@ type FrontendCeilingPoint struct {
 // submission queue.
 type FrontendScalingRow struct {
 	Frontends int
-	// OfferedRPS is the tier-wide arrival rate (PerFrontendRPS x N).
+	// OfferedRPS is the tier-wide arrival rate (frontRPS x N).
 	OfferedRPS float64
 	PerOp      load.ClusterLoadResult
 	Batched    load.ClusterLoadResult
@@ -103,11 +53,10 @@ type FrontendScalingRow struct {
 
 // FrontendScalingResult is the full matrix run.
 type FrontendScalingResult struct {
-	Opt     FrontendScalingOptions
 	Ceiling []FrontendCeilingPoint
 	Rows    []FrontendScalingRow
 	// Ratio is the batched/per-op throughput ratio at N=1 - the
-	// ablation benchguard gates.
+	// ablation the frontend preset gates.
 	Ratio float64
 	// ScaleOut is batched throughput at max N over batched throughput
 	// at N=1.
@@ -118,14 +67,14 @@ type FrontendScalingResult struct {
 
 // frontendPoint runs one matrix point: a fresh cluster with nFront
 // hosted frontends, one client Ebb and one load source per frontend,
-// the multiget ETC workload at the tier-wide rate.
-func frontendPoint(opt FrontendScalingOptions, nFront int, batch cluster.BatchOptions) (load.ClusterLoadResult, cluster.BatchStats) {
-	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		CoresPerBackend: opt.CoresPerBackend,
-		FrontendCores:   opt.FrontendCores,
+// the multiget ETC workload at perFrontRPS arrivals per frontend.
+func frontendPoint(nFront int, perFrontRPS float64, batch cluster.BatchOptions) (load.ClusterLoadResult, cluster.BatchStats) {
+	cl := cluster.NewCluster(frontBackends, cluster.Options{
+		CoresPerBackend: frontBackendCores,
+		FrontendCores:   1,
 	})
 	for len(cl.Frontends) < nFront {
-		cl.AddFrontend(opt.FrontendCores)
+		cl.AddFrontend(1)
 	}
 	clis := make([]*cluster.Client, nFront)
 	kvs := make([]load.KVClient, nFront)
@@ -136,14 +85,14 @@ func frontendPoint(opt FrontendScalingOptions, nFront int, batch cluster.BatchOp
 		rtl[i] = front.Runtime
 	}
 	etc := load.DefaultETC()
-	etc.KeySpace = opt.KeySpace
+	etc.KeySpace = frontKeySpace
 	res := load.RunClusterLoadMulti(rtl, kvs, load.ClusterLoadConfig{
-		TargetRPS: opt.PerFrontendRPS * float64(nFront),
+		TargetRPS: perFrontRPS * float64(nFront),
 		Warmup:    5 * sim.Millisecond,
-		Duration:  opt.Duration,
-		Seed:      opt.Seed,
+		Duration:  frontDuration,
+		Seed:      seed,
 		ETC:       etc,
-		MultiGet:  opt.MultiGet,
+		MultiGet:  frontMultiGet,
 	})
 	var stats cluster.BatchStats
 	for _, cli := range clis {
@@ -159,19 +108,17 @@ func frontendPoint(opt FrontendScalingOptions, nFront int, batch cluster.BatchOp
 // the native side (Figure 6); this is the same question asked of the
 // hosted side, where per-op syscall pricing is exactly what the
 // coalesced GETQ+Noop rounds amortize.
-func FrontendScaling(opt FrontendScalingOptions) FrontendScalingResult {
-	opt.applyDefaults()
-	out := FrontendScalingResult{Opt: opt}
-	batched := cluster.BatchOptions{MaxBatch: opt.MaxBatch}
+func FrontendScaling() FrontendScalingResult {
+	var out FrontendScalingResult
+	batched := cluster.BatchOptions{MaxBatch: cluster.DefaultMaxBatch}
 	perOp := cluster.BatchOptions{MaxBatch: 1}
 
 	// Phase 1: the single-frontend ceiling, batched arm.
 	for _, mult := range []float64{0.5, 1.0, 1.5} {
-		o := opt
-		o.PerFrontendRPS = opt.PerFrontendRPS * mult
-		res, _ := frontendPoint(o, 1, batched)
+		rate := frontRPS * mult
+		res, _ := frontendPoint(1, rate, batched)
 		out.Ceiling = append(out.Ceiling, FrontendCeilingPoint{
-			OfferedRPS:  o.PerFrontendRPS,
+			OfferedRPS:  rate,
 			AchievedRPS: res.AchievedRPS,
 			P99:         res.P99,
 		})
@@ -179,12 +126,12 @@ func FrontendScaling(opt FrontendScalingOptions) FrontendScalingResult {
 	}
 
 	// Phase 2: the NxM matrix, per-op vs batched at each N.
-	for _, n := range opt.FrontendCounts {
-		po, _ := frontendPoint(opt, n, perOp)
-		ba, stats := frontendPoint(opt, n, batched)
+	for _, n := range []int{1, 2, 3} {
+		po, _ := frontendPoint(n, frontRPS, perOp)
+		ba, stats := frontendPoint(n, frontRPS, batched)
 		row := FrontendScalingRow{
 			Frontends:  n,
-			OfferedRPS: opt.PerFrontendRPS * float64(n),
+			OfferedRPS: frontRPS * float64(n),
 			PerOp:      po,
 			Batched:    ba,
 			Stats:      stats,
@@ -195,21 +142,18 @@ func FrontendScaling(opt FrontendScalingOptions) FrontendScalingResult {
 		out.Rows = append(out.Rows, row)
 		out.NetErrs += po.NetErrs + ba.NetErrs
 	}
-	if len(out.Rows) > 0 {
-		out.Ratio = out.Rows[0].Ratio
-		first, last := out.Rows[0].Batched.AchievedRPS, out.Rows[len(out.Rows)-1].Batched.AchievedRPS
-		if first > 0 {
-			out.ScaleOut = last / first
-		}
+	out.Ratio = out.Rows[0].Ratio
+	first, last := out.Rows[0].Batched.AchievedRPS, out.Rows[len(out.Rows)-1].Batched.AchievedRPS
+	if first > 0 {
+		out.ScaleOut = last / first
 	}
 	return out
 }
 
 // FormatFrontendScaling renders the matrix for the command-line driver.
 func FormatFrontendScaling(r FrontendScalingResult) string {
-	o := r.Opt
 	out := fmt.Sprintf("FrontendScaling: %d backends x %d cores, frontends x%d cores, %.0f arrivals/s per frontend, multiget %d, max batch %d\n",
-		o.Backends, o.CoresPerBackend, o.FrontendCores, o.PerFrontendRPS, o.MultiGet, o.MaxBatch)
+		frontBackends, frontBackendCores, 1, float64(frontRPS), frontMultiGet, cluster.DefaultMaxBatch)
 	out += "  single-frontend ceiling (batched):\n"
 	out += fmt.Sprintf("  %-12s %12s %10s\n", "offered/s", "achieved/s", "p99(us)")
 	for _, p := range r.Ceiling {
@@ -223,16 +167,12 @@ func FormatFrontendScaling(r FrontendScalingResult) string {
 			row.Frontends, row.PerOp.AchievedRPS, row.Batched.AchievedRPS, row.Ratio,
 			row.Stats.Rounds, row.Stats.QuietMisses, row.Batched.P99.Micros())
 	}
-	if len(r.Rows) > 0 {
-		row := r.Rows[0]
-		total := float64(row.Stats.Rounds)
-		if total > 0 {
-			out += "  batched round sizes (N=1): "
-			for i, label := range cluster.OpsPerBatchLabels {
-				out += fmt.Sprintf("%s:%d ", label, row.Stats.OpsPerBatch[i])
-			}
-			out += "\n"
+	if row := r.Rows[0]; row.Stats.Rounds > 0 {
+		out += "  batched round sizes (N=1): "
+		for i, label := range cluster.OpsPerBatchLabels {
+			out += fmt.Sprintf("%s:%d ", label, row.Stats.OpsPerBatch[i])
 		}
+		out += "\n"
 	}
 	out += fmt.Sprintf("  batched/per-op at N=1: %.2fx; batched scale-out across the sweep: %.2fx; net errors: %d\n",
 		r.Ratio, r.ScaleOut, r.NetErrs)

@@ -5,66 +5,30 @@ import (
 
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/event"
+	"ebbrt/internal/hosted"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 )
 
 // HotKeyOptions tunes the hot-key caching experiment: the skewed-tail
-// scaling sweep with the client Ebb's hot-key cache off vs on. The zero
-// value selects the experiment's defaults.
+// scaling sweep with the client Ebb's hot-key cache off vs on, offered
+// hotRPS per 1-core backend. The zero value selects the experiment's
+// defaults.
 type HotKeyOptions struct {
 	// BackendCounts is the sweep (default {1, 2, 4, 8}).
 	BackendCounts []int
-	// PerBackendRPS is the offered load per backend; the aggregate for
-	// a point is PerBackendRPS x backends (default 280000 - high enough
-	// that the hot shard saturates in the uncached skewed tail).
-	PerBackendRPS float64
-	// CoresPerBackend sizes each backend (default 1).
-	CoresPerBackend int
-	// FrontendCores sizes the hosted frontend driving the client Ebb
-	// (default 12: the frontend must not be the uncached bottleneck).
-	FrontendCores int
 	// Duration is the measured window per point (default 60ms).
 	Duration sim.Time
 	// KeySpace sizes the ETC population (default 6000).
 	KeySpace int
-	// ZipfSkew is the workload's key-popularity exponent (default 1.2:
-	// the skewed tail the ROADMAP describes, where the top key alone
-	// draws ~20% of accesses).
-	ZipfSkew float64
-	// RequestTimeout bounds one replica operation at the client. The
-	// default (0) disables timeouts: this experiment drives healthy
-	// backends into saturation, where a timeout would turn honest
-	// queueing into bursts of failed operations instead of letting the
-	// uncached curve cap at the hot shard's service rate.
-	RequestTimeout sim.Time
 	// Cache carries the hot-key cache knobs for the cache-on runs
 	// (Enable is forced; zero fields select cluster defaults).
 	Cache cluster.HotKeyOptions
-	// RogueRPS, when positive, runs an independent, uncached writer
-	// client alongside the cache-on runs, overwriting the hottest keys
-	// at this rate - the staleness adversary the TTL and sampled
-	// revalidation must bound (default 2000; negative disables).
-	RogueRPS float64
-	// RogueKeys is how many of the hottest keys the rogue writer
-	// targets (default 32).
-	RogueKeys int
-	// Seed feeds the workload (default 42).
-	Seed uint64
 }
 
 func (o *HotKeyOptions) applyDefaults() {
 	if len(o.BackendCounts) == 0 {
 		o.BackendCounts = []int{1, 2, 4, 8}
-	}
-	if o.PerBackendRPS <= 0 {
-		o.PerBackendRPS = 280000
-	}
-	if o.CoresPerBackend <= 0 {
-		o.CoresPerBackend = 1
-	}
-	if o.FrontendCores <= 0 {
-		o.FrontendCores = 12
 	}
 	if o.Duration <= 0 {
 		o.Duration = 60 * sim.Millisecond
@@ -72,22 +36,25 @@ func (o *HotKeyOptions) applyDefaults() {
 	if o.KeySpace <= 0 {
 		o.KeySpace = 6000
 	}
-	if o.ZipfSkew <= 0 {
-		o.ZipfSkew = 1.2
-	}
-	if o.RequestTimeout < 0 {
-		o.RequestTimeout = 0
-	}
-	if o.RogueRPS == 0 {
-		o.RogueRPS = 2000
-	}
-	if o.RogueKeys <= 0 {
-		o.RogueKeys = 32
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
 }
+
+// The skewed workload every hot-key experiment drives. Zipf skew 1.2 is
+// the tail the ROADMAP describes, where the top key alone draws ~20% of
+// accesses. 280000 RPS per backend is high enough that the hot shard
+// saturates in the uncached skewed tail, and the 12-core frontend must
+// not be the uncached bottleneck. The rogue writer overwrites the 32
+// hottest keys at 2000 RPS. The clients run without request timeouts:
+// these experiments drive healthy backends into saturation, where a
+// timeout would turn honest queueing into bursts of failed operations
+// instead of letting the uncached curve cap at the hot shard's service
+// rate.
+const (
+	hotZipfSkew    = 1.2
+	hotRPS         = 280000
+	hotClientCores = 12
+	rogueKeys      = 32
+	rogueRPS       = 2000
+)
 
 // HotKeyRow is one backend count measured with the cache off and on.
 type HotKeyRow struct {
@@ -142,16 +109,13 @@ func HotKey(opt HotKeyOptions) HotKeyResult {
 
 	out := HotKeyResult{Opt: opt, TTL: cacheOpt.TTL, TTLBounded: true}
 	for _, n := range opt.BackendCounts {
-		row := HotKeyRow{Backends: n, Offered: opt.PerBackendRPS * float64(n)}
-		row.Off = hotKeyPoint(opt, n, cluster.HotKeyOptions{}, nil)
-		var stats cluster.HotKeyStats
-		row.On = hotKeyPoint(opt, n, cacheOpt, &stats)
-		row.Cache = stats
-		out.Probe.StaleServes += stats.StaleServes
-		if stats.MaxStaleAge > out.Probe.MaxStaleAge {
-			out.Probe.MaxStaleAge = stats.MaxStaleAge
-		}
-		if stats.MaxStaleAge > cacheOpt.TTL {
+		row := HotKeyRow{Backends: n, Offered: hotRPS * float64(n)}
+		row.Off = skewPoint(opt.KeySpace, opt.Duration, n, cluster.Options{Replicas: 1}).load
+		on := skewPoint(opt.KeySpace, opt.Duration, n, cluster.Options{Replicas: 1, HotKey: cacheOpt})
+		row.On, row.Cache = on.load, on.cache
+		out.Probe.StaleServes += on.cache.StaleServes
+		out.Probe.MaxStaleAge = max(out.Probe.MaxStaleAge, on.cache.MaxStaleAge)
+		if on.cache.MaxStaleAge > cacheOpt.TTL {
 			out.TTLBounded = false
 		}
 		out.Rows = append(out.Rows, row)
@@ -174,80 +138,96 @@ func HotKey(opt HotKeyOptions) HotKeyResult {
 	return out
 }
 
-// hotKeyPoint measures one backend count with the given cache
-// configuration (zero = disabled). When probeStats is non-nil the run
-// is a cache-on run: the client's hot-key counters are collected into
-// it and the rogue writer runs alongside.
-func hotKeyPoint(opt HotKeyOptions, backends int, cacheOpt cluster.HotKeyOptions, probeStats *cluster.HotKeyStats) load.ClusterLoadResult {
-	cl := cluster.NewCluster(backends, cluster.Options{
-		CoresPerBackend: opt.CoresPerBackend,
-		Replicas:        1,
-		FrontendCores:   opt.FrontendCores,
-		HotKey:          cacheOpt,
-	})
+// skewRun is one measured run of the skewed workload.
+type skewRun struct {
+	load  load.ClusterLoadResult
+	cache cluster.HotKeyStats
+	// spread is the deployment's write-spreading counters; maxShare the
+	// hottest backend's fraction of all backend-served requests.
+	spread   cluster.HotWriteStats
+	maxShare float64
+}
+
+// skewPoint measures the skewed workload at hotRPS per backend on a
+// fresh cluster shaped by copts. A run with the hot-key cache enabled
+// is a fixed run: the rogue writer runs alongside it and the client's
+// cache counters are collected.
+func skewPoint(keySpace int, window sim.Time, backends int, copts cluster.Options) skewRun {
+	copts.FrontendCores = hotClientCores
+	cl := cluster.NewCluster(backends, copts)
 	front := cl.Sys.Frontend()
-	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-		RequestTimeout: opt.RequestTimeout,
-	})
+	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{})
 
 	etc := load.DefaultETC()
-	etc.KeySpace = opt.KeySpace
-	etc.ZipfSkew = opt.ZipfSkew
-
+	etc.KeySpace = keySpace
+	etc.ZipfSkew = hotZipfSkew
 	var events []load.ChaosEvent
-	if probeStats != nil && opt.RogueRPS > 0 {
-		// The rogue writer: an independent client Ebb (no cache) on the
-		// same frontend, overwriting the hottest keys behind the cached
-		// client's back. Its writes move the owners' CAS stamps, so every
-		// cached copy of a hot key goes stale until TTL expiry or sampled
-		// revalidation catches it - exactly the window the probe measures.
-		rogue := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-			RequestTimeout: opt.RequestTimeout,
-			HotKey:         cluster.HotKeyOptions{Disable: true},
-		})
-		work := load.NewWorkload(etc, opt.Seed)
-		rng := sim.NewRng(opt.Seed ^ 0x5bd1e995)
-		k := cl.Sys.K
-		mgrs := front.Runtime.Mgrs()
-		interval := sim.Time(1e9 / opt.RogueRPS)
-		end := sim.Time(0) // filled when the event fires (measurement start + duration)
-		var tick func()
-		tick = func() {
-			if end == 0 {
-				end = k.Now() + opt.Duration
-			}
-			if k.Now() >= end {
-				return
-			}
-			keyIdx := rng.Intn(opt.RogueKeys)
-			val := []byte(fmt.Sprintf("rogue-%d-%d", keyIdx, k.Now()))
-			mgrs[rng.Intn(len(mgrs))].Spawn(func(c *event.Ctx) {
-				rogue.Set(c, work.Keys[keyIdx], val, 0, nil)
-			})
-			k.After(interval, tick)
-		}
-		events = append(events, load.ChaosEvent{At: 0, Fn: tick})
+	if copts.HotKey.Enable {
+		events = append(events, rogueWriter(cl, front, etc, window))
 	}
-
-	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
-		TargetRPS: opt.PerBackendRPS * float64(backends),
+	var r skewRun
+	r.load = load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
+		TargetRPS: hotRPS * float64(backends),
 		Warmup:    10 * sim.Millisecond,
-		Duration:  opt.Duration,
-		Seed:      opt.Seed,
+		Duration:  window,
+		Seed:      seed,
 		ETC:       etc,
 		Events:    events,
 	})
-	if probeStats != nil {
-		*probeStats = cli.HotKeyStats()
+	if copts.HotKey.Enable {
+		r.cache = cli.HotKeyStats()
 	}
-	return res
+	var total, maxReq uint64
+	for _, b := range cl.Backends {
+		total += b.Srv.Requests
+		maxReq = max(maxReq, b.Srv.Requests)
+	}
+	if total > 0 {
+		r.maxShare = float64(maxReq) / float64(total)
+	}
+	r.spread = cl.HotWriteStats()
+	return r
+}
+
+// rogueWriter is the staleness adversary of the cache-on runs: an
+// independent client Ebb with no cache on the same frontend, overwriting
+// the hottest keys behind the cached client's back for the measured
+// window. Its writes move the owners' stamps, so every cached copy of a
+// hot key goes stale until TTL expiry or sampled revalidation catches it
+// - exactly the window the staleness probe measures. The returned chaos
+// event starts it at measurement start.
+func rogueWriter(cl *cluster.Cluster, front *hosted.Node, etc load.ETCConfig, window sim.Time) load.ChaosEvent {
+	rogue := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
+		HotKey: cluster.HotKeyOptions{Disable: true},
+	})
+	work := load.NewWorkload(etc, seed)
+	rng := sim.NewRng(seed ^ 0x5bd1e995)
+	k := cl.Sys.K
+	mgrs := front.Runtime.Mgrs()
+	end := sim.Time(0) // set when the event fires: measurement start + window
+	var tick func()
+	tick = func() {
+		if end == 0 {
+			end = k.Now() + window
+		}
+		if k.Now() >= end {
+			return
+		}
+		keyIdx := rng.Intn(rogueKeys)
+		val := []byte(fmt.Sprintf("rogue-%d-%d", keyIdx, k.Now()))
+		mgrs[rng.Intn(len(mgrs))].Spawn(func(c *event.Ctx) {
+			rogue.Set(c, work.Keys[keyIdx], val, 0, nil)
+		})
+		k.After(sim.Time(1e9/rogueRPS), tick)
+	}
+	return load.ChaosEvent{At: 0, Fn: tick}
 }
 
 // FormatHotKey renders the sweep as the cache-off vs cache-on scaling
 // comparison plus the staleness verdict.
 func FormatHotKey(r HotKeyResult) string {
 	out := fmt.Sprintf("HotKey: skew %.2f over %d keys, %.0f RPS/backend, hot-key cache %d entries/core, TTL %.1fms\n",
-		r.Opt.ZipfSkew, r.Opt.KeySpace, r.Opt.PerBackendRPS,
+		hotZipfSkew, r.Opt.KeySpace, float64(hotRPS),
 		r.Opt.Cache.Capacity, float64(r.TTL)/1e6)
 	out += fmt.Sprintf("%-9s %10s | %10s %8s | %10s %8s %7s | %8s\n",
 		"Backends", "Offered", "off RPS", "speedup", "on RPS", "speedup", "hit%", "improve")

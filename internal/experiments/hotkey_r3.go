@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ebbrt/internal/cluster"
-	"ebbrt/internal/event"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 )
@@ -13,80 +12,30 @@ import (
 // skewed ETC workload at R>1 with the full hot-key fix - replica-wide
 // version stamps, the client read cache, and salted hot-write spreading
 // - measured against the cache-off, spread-off baseline on the same
-// cluster shape. The zero value selects the defaults.
+// cluster shape: 8 backends at R=3 (the configuration whose CAS
+// coherence hole this experiment reproduces closed), offered hotRPS
+// each. The zero value selects the defaults.
 type ReplicatedHotKeyOptions struct {
-	// Backends is the cluster size (default 8).
-	Backends int
-	// Replicas is the replication factor (default 3 - the configuration
-	// whose CAS coherence hole this experiment reproduces closed).
-	Replicas int
-	// PerBackendRPS is the offered load per backend (default 280000).
-	PerBackendRPS float64
-	// CoresPerBackend sizes each backend (default 1).
-	CoresPerBackend int
-	// FrontendCores sizes the hosted frontend (default 12).
-	FrontendCores int
 	// Duration is the measured window per run (default 60ms).
 	Duration sim.Time
 	// KeySpace sizes the ETC population (default 6000).
 	KeySpace int
-	// ZipfSkew is the key-popularity exponent (default 1.2).
-	ZipfSkew float64
-	// RequestTimeout bounds one replica operation (0 disables - this
-	// experiment saturates healthy backends).
-	RequestTimeout sim.Time
 	// Cache carries the hot-key cache knobs for the fixed run (Enable
 	// and StalenessProbe are forced).
 	Cache cluster.HotKeyOptions
-	// HotWrite carries the salted write-spreading knobs for the fixed
-	// run (Enable is forced).
-	HotWrite cluster.HotWriteOptions
-	// RogueRPS runs an independent uncached writer against the hottest
-	// keys during the fixed run (default 2000; negative disables).
-	RogueRPS float64
-	// RogueKeys is how many of the hottest keys the rogue targets
-	// (default 32).
-	RogueKeys int
-	// Seed feeds the workload (default 42).
-	Seed uint64
 }
 
+const (
+	r3Backends = 8
+	r3Replicas = 3
+)
+
 func (o *ReplicatedHotKeyOptions) applyDefaults() {
-	if o.Backends <= 0 {
-		o.Backends = 8
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 3
-	}
-	if o.PerBackendRPS <= 0 {
-		o.PerBackendRPS = 280000
-	}
-	if o.CoresPerBackend <= 0 {
-		o.CoresPerBackend = 1
-	}
-	if o.FrontendCores <= 0 {
-		o.FrontendCores = 12
-	}
 	if o.Duration <= 0 {
 		o.Duration = 60 * sim.Millisecond
 	}
 	if o.KeySpace <= 0 {
 		o.KeySpace = 6000
-	}
-	if o.ZipfSkew <= 0 {
-		o.ZipfSkew = 1.2
-	}
-	if o.RequestTimeout < 0 {
-		o.RequestTimeout = 0
-	}
-	if o.RogueRPS == 0 {
-		o.RogueRPS = 2000
-	}
-	if o.RogueKeys <= 0 {
-		o.RogueKeys = 32
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
 	}
 }
 
@@ -134,108 +83,26 @@ func ReplicatedHotKey(opt ReplicatedHotKeyOptions) ReplicatedHotKeyResult {
 	cacheOpt.StalenessProbe = true
 	cacheOpt = cacheOpt.WithDefaults()
 	opt.Cache = cacheOpt
-	spreadOpt := opt.HotWrite
-	spreadOpt.Enable = true
-	spreadOpt = spreadOpt.WithDefaults()
-	opt.HotWrite = spreadOpt
+	spreadOpt := cluster.HotWriteOptions{Enable: true}.WithDefaults()
 
 	out := ReplicatedHotKeyResult{Opt: opt, TTL: cacheOpt.TTL}
-	out.Off, out.OffMaxShare, _, _ = replicatedPoint(opt, cluster.HotKeyOptions{}, cluster.HotWriteOptions{}, nil)
-	var stats cluster.HotKeyStats
-	out.On, out.OnMaxShare, out.HotWrite, out.HotShare = replicatedPoint(opt, cacheOpt, spreadOpt, &stats)
-	out.Cache = stats
-	out.TTLBounded = stats.MaxStaleAge <= cacheOpt.TTL
+	off := skewPoint(opt.KeySpace, opt.Duration, r3Backends, cluster.Options{Replicas: r3Replicas})
+	on := skewPoint(opt.KeySpace, opt.Duration, r3Backends, cluster.Options{
+		Replicas: r3Replicas, HotKey: cacheOpt, HotWrite: spreadOpt})
+	out.Off, out.OffMaxShare = off.load, off.maxShare
+	out.On, out.OnMaxShare, out.Cache, out.HotWrite = on.load, on.maxShare, on.cache, on.spread
+	out.HotShare = on.load.Keys.TopShare
+	out.TTLBounded = on.cache.MaxStaleAge <= cacheOpt.TTL
 	if out.Off.AchievedRPS > 0 {
 		out.Improvement = out.On.AchievedRPS / out.Off.AchievedRPS
 	}
 	return out
 }
 
-// replicatedPoint measures one run. When probeStats is non-nil the run
-// is the fixed configuration: counters are collected and the rogue
-// writer runs alongside. The returned maxShare is the hottest backend's
-// fraction of all backend-served requests.
-func replicatedPoint(opt ReplicatedHotKeyOptions, cacheOpt cluster.HotKeyOptions, spreadOpt cluster.HotWriteOptions, probeStats *cluster.HotKeyStats) (load.ClusterLoadResult, float64, cluster.HotWriteStats, float64) {
-	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		CoresPerBackend: opt.CoresPerBackend,
-		Replicas:        opt.Replicas,
-		FrontendCores:   opt.FrontendCores,
-		HotKey:          cacheOpt,
-		HotWrite:        spreadOpt,
-	})
-	front := cl.Sys.Frontend()
-	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-		RequestTimeout: opt.RequestTimeout,
-	})
-
-	etc := load.DefaultETC()
-	etc.KeySpace = opt.KeySpace
-	etc.ZipfSkew = opt.ZipfSkew
-
-	var events []load.ChaosEvent
-	if probeStats != nil && opt.RogueRPS > 0 {
-		// The rogue writer: an independent uncached client overwriting
-		// the hottest keys behind the cached client's back. Its writes are
-		// coordinator-stamped like any other, so every live owner's store
-		// moves to a strictly newer replica-wide stamp - the staleness the
-		// probe's all-owner peek measures against the TTL.
-		rogue := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-			RequestTimeout: opt.RequestTimeout,
-			HotKey:         cluster.HotKeyOptions{Disable: true},
-		})
-		work := load.NewWorkload(etc, opt.Seed)
-		rng := sim.NewRng(opt.Seed ^ 0x5bd1e995)
-		k := cl.Sys.K
-		mgrs := front.Runtime.Mgrs()
-		interval := sim.Time(1e9 / opt.RogueRPS)
-		end := sim.Time(0)
-		var tick func()
-		tick = func() {
-			if end == 0 {
-				end = k.Now() + opt.Duration
-			}
-			if k.Now() >= end {
-				return
-			}
-			keyIdx := rng.Intn(opt.RogueKeys)
-			val := []byte(fmt.Sprintf("rogue-%d-%d", keyIdx, k.Now()))
-			mgrs[rng.Intn(len(mgrs))].Spawn(func(c *event.Ctx) {
-				rogue.Set(c, work.Keys[keyIdx], val, 0, nil)
-			})
-			k.After(interval, tick)
-		}
-		events = append(events, load.ChaosEvent{At: 0, Fn: tick})
-	}
-
-	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
-		TargetRPS: opt.PerBackendRPS * float64(opt.Backends),
-		Warmup:    10 * sim.Millisecond,
-		Duration:  opt.Duration,
-		Seed:      opt.Seed,
-		ETC:       etc,
-		Events:    events,
-	})
-	if probeStats != nil {
-		*probeStats = cli.HotKeyStats()
-	}
-	var total, maxReq uint64
-	for _, b := range cl.Backends {
-		total += b.Srv.Requests
-		if b.Srv.Requests > maxReq {
-			maxReq = b.Srv.Requests
-		}
-	}
-	maxShare := 0.0
-	if total > 0 {
-		maxShare = float64(maxReq) / float64(total)
-	}
-	return res, maxShare, cl.HotWriteStats(), res.Keys.TopShare
-}
-
 // FormatReplicatedHotKey renders the R>1 comparison.
 func FormatReplicatedHotKey(r ReplicatedHotKeyResult) string {
 	out := fmt.Sprintf("ReplicatedHotKey: %d backends, R=%d, skew %.2f over %d keys, %.0f RPS/backend\n",
-		r.Opt.Backends, r.Opt.Replicas, r.Opt.ZipfSkew, r.Opt.KeySpace, r.Opt.PerBackendRPS)
+		r3Backends, r3Replicas, hotZipfSkew, r.Opt.KeySpace, float64(hotRPS))
 	out += fmt.Sprintf("%-22s %12s %10s %10s %12s\n",
 		"", "achieved RPS", "p99 (us)", "netErrs", "hottest-node")
 	out += fmt.Sprintf("%-22s %12.0f %10.1f %10d %11.1f%%\n",
@@ -243,7 +110,7 @@ func FormatReplicatedHotKey(r ReplicatedHotKeyResult) string {
 	out += fmt.Sprintf("%-22s %12.0f %10.1f %10d %11.1f%%\n",
 		"cache + write spread", r.On.AchievedRPS, r.On.P99.Micros(), r.On.NetErrs, 100*r.OnMaxShare)
 	out += fmt.Sprintf("improvement at %d backends, R=%d: %.2fx (hit rate %.1f%%, hot share %.1f%%)\n",
-		r.Opt.Backends, r.Opt.Replicas, r.Improvement, 100*r.Cache.HitRate(), 100*r.HotShare)
+		r3Backends, r3Replicas, r.Improvement, 100*r.Cache.HitRate(), 100*r.HotShare)
 	out += fmt.Sprintf("write spreading: %d keys promoted, %d salted writes, %d targeted reads (%d fan-in fallbacks)\n",
 		r.HotWrite.Promoted, r.HotWrite.SaltedWrites, r.HotWrite.SaltedReads, r.HotWrite.SaltedFanIns)
 	verdict := "PASS"

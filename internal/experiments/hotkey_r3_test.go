@@ -10,7 +10,7 @@ import (
 // TestReplicatedHotKeySmoke is the R>1 experiment's smoke-scale
 // acceptance: at 8 backends with R=3, the replica-coherent cache plus
 // salted write spreading must beat the unfixed baseline by the
-// committed 1.5x floor (benchguard and the CI smoke gate on the same
+// committed 1.5x floor (the hotkey-r3 smoke preset gates on the same
 // number), genuinely engage the spread path, leave the cluster less
 // concentrated on its hottest node, and never serve a hit staler than
 // the TTL even with the rogue writer moving every replica's stamp
@@ -25,10 +25,10 @@ func TestReplicatedHotKeySmoke(t *testing.T) {
 
 	if res.Improvement < 1.5 {
 		t.Fatalf("R=%d improvement %.2fx at %d backends, want >= 1.5x",
-			res.Opt.Replicas, res.Improvement, res.Opt.Backends)
+			r3Replicas, res.Improvement, r3Backends)
 	}
 	if hr := res.Cache.HitRate(); hr < 0.3 {
-		t.Fatalf("cache hit rate %.2f, want >= 0.3 under skew %.2f", hr, res.Opt.ZipfSkew)
+		t.Fatalf("cache hit rate %.2f, want >= 0.3 under skew %.2f", hr, hotZipfSkew)
 	}
 	// The spread path must actually carry load: promoted keys taking
 	// round-robined writes, reads going through the targeted-shard path.

@@ -31,7 +31,7 @@ func TestHotKeyCacheImprovesSkewedTail(t *testing.T) {
 		t.Fatalf("cache-on speedup %.2fx not above cache-off %.2fx", tail.OnSpeedup, tail.OffSpeedup)
 	}
 	if hr := tail.Cache.HitRate(); hr < 0.3 {
-		t.Fatalf("cache hit rate %.2f, want >= 0.3 under skew %.2f", hr, res.Opt.ZipfSkew)
+		t.Fatalf("cache hit rate %.2f, want >= 0.3 under skew %.2f", hr, hotZipfSkew)
 	}
 	if res.HotShare < 0.3 {
 		t.Fatalf("measured hot-key share %.2f - workload not skewed as configured", res.HotShare)

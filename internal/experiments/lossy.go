@@ -15,16 +15,14 @@ import (
 // LossyOptions tunes the lossy-link experiment: the same sharded
 // workload as the scaling runs, but with uniform random frame loss
 // injected at the switch, comparing the self-tuning TCP data path
-// (adaptive RTO + fast retransmit) against the fixed-RTO baseline.
+// (adaptive RTO + fast retransmit) against the fixed-RTO baseline. The
+// backends have one core each and the ETC population is lossyKeySpace
+// keys; seed 42 feeds the workload, arrivals, and the loss process.
 type LossyOptions struct {
 	// Backends is the native backend count (default 4).
 	Backends int
-	// CoresPerBackend sizes each backend (default 1).
-	CoresPerBackend int
 	// Replicas is the replication factor R (default 2).
 	Replicas int
-	// FrontendCores sizes the hosted frontend (default 4).
-	FrontendCores int
 	// TargetRPS is the offered load (default 20000).
 	TargetRPS float64
 	// Duration is the measured window (default 100ms).
@@ -34,24 +32,16 @@ type LossyOptions struct {
 	// once measurement starts; prepopulation and warmup run clean so
 	// the comparison isolates steady-state loss recovery.
 	LossRates []float64
-	// KeySpace sizes the ETC key population (default 2000).
-	KeySpace int
-	// Seed feeds the workload, arrivals, and the loss process.
-	Seed uint64
 }
+
+const lossyKeySpace = 2000
 
 func (o *LossyOptions) applyDefaults() {
 	if o.Backends <= 0 {
 		o.Backends = 4
 	}
-	if o.CoresPerBackend <= 0 {
-		o.CoresPerBackend = 1
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 2
-	}
-	if o.FrontendCores <= 0 {
-		o.FrontendCores = 4
 	}
 	if o.TargetRPS <= 0 {
 		o.TargetRPS = 20000
@@ -61,12 +51,6 @@ func (o *LossyOptions) applyDefaults() {
 	}
 	if len(o.LossRates) == 0 {
 		o.LossRates = []float64{0.01, 0.05, 0.10}
-	}
-	if o.KeySpace <= 0 {
-		o.KeySpace = 2000
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
 	}
 }
 
@@ -141,10 +125,9 @@ func aggregateTcpStats(cl *cluster.Cluster) netstack.TcpStats {
 // transport's job, which is exactly what is under test.
 func runLossy(opt LossyOptions, rate float64, net netstack.Config) LossyRun {
 	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		CoresPerBackend: opt.CoresPerBackend,
-		Replicas:        opt.Replicas,
-		FrontendCores:   opt.FrontendCores,
-		Net:             net,
+		Replicas:      opt.Replicas,
+		FrontendCores: clientCores,
+		Net:           net,
 	})
 	front := cl.Sys.Frontend()
 	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
@@ -152,14 +135,14 @@ func runLossy(opt LossyOptions, rate float64, net netstack.Config) LossyRun {
 	})
 
 	var droppedFrames uint64
-	drop := lossDropper(opt.Seed, rate)
+	drop := lossDropper(seed, rate)
 	etc := load.DefaultETC()
-	etc.KeySpace = opt.KeySpace
+	etc.KeySpace = lossyKeySpace
 	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
 		TargetRPS: opt.TargetRPS,
 		Warmup:    10 * sim.Millisecond,
 		Duration:  opt.Duration,
-		Seed:      opt.Seed,
+		Seed:      seed,
 		ETC:       etc,
 		Events: []load.ChaosEvent{{
 			At: 0, // loss begins exactly at measurement start

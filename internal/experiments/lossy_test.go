@@ -49,7 +49,7 @@ func TestLossyAdaptiveSurvivesLoss(t *testing.T) {
 	if p.Adaptive.Tcp.FastRetransmits == 0 {
 		t.Error("fast-retransmit path never exercised at 5% loss")
 	}
-	// The headline claim (also enforced as a benchguard floor): the
+	// The headline claim (also enforced as the smoke preset's floor): the
 	// adaptive path beats the fixed 200ms RTO by >= 1.5x at 5% loss.
 	if p.ThroughputRatio < 1.5 {
 		t.Errorf("adaptive/fixed throughput ratio %.2f at 5%% loss, want >= 1.5", p.ThroughputRatio)

@@ -11,78 +11,44 @@ import (
 )
 
 // MemoryPressureOptions tunes the bounded-store experiment: the ETC
-// workload offered a dataset PressureFactor times the deployment's
+// workload offered a dataset mempPressure times the deployment's
 // aggregate memory budget, so the slab-classed eviction policy - not
 // the allocator - decides what stays resident. The zero value selects
 // the defaults.
 type MemoryPressureOptions struct {
-	// Backends is the shard count (default 2).
-	Backends int
-	// CoresPerBackend sizes each backend (default 1).
-	CoresPerBackend int
-	// FrontendCores sizes the hosted frontend (default 4).
-	FrontendCores int
-	// BudgetBytes is each backend's store budget (default 8 MiB, the
-	// page allocator's minimum block).
-	BudgetBytes uint64
-	// PressureFactor sizes the offered dataset relative to the aggregate
-	// budget (default 2: half the population cannot be resident).
-	PressureFactor float64
 	// TargetRPS is the offered load (default 120000).
 	TargetRPS float64
 	// Duration is the measured window (default 60ms).
 	Duration sim.Time
-	// ValueMean is the ETC value-size mean (default 1200 - large enough
-	// that the population actually spans the slab classes).
-	ValueMean float64
-	// ZipfSkew is the key-popularity exponent (default 1.2: a hot head
-	// the LRU should keep resident and the hot-key cache should absorb).
-	ZipfSkew float64
-	// ExpireEvery marks every Nth key with a 1-second exptime (default
-	// 10); the post-run probe advances past the deadline and verifies
-	// not one of them is served from any layer.
-	ExpireEvery int
 	// Cache carries the hot-key cache knobs (Enable is forced on).
 	Cache cluster.HotKeyOptions
-	// Seed feeds the workload (default 42).
-	Seed uint64
 }
 
 func (o *MemoryPressureOptions) applyDefaults() {
-	if o.Backends <= 0 {
-		o.Backends = 2
-	}
-	if o.CoresPerBackend <= 0 {
-		o.CoresPerBackend = 1
-	}
-	if o.FrontendCores <= 0 {
-		o.FrontendCores = 4
-	}
-	if o.BudgetBytes == 0 {
-		o.BudgetBytes = 8 << 20
-	}
-	if o.PressureFactor <= 0 {
-		o.PressureFactor = 2
-	}
 	if o.TargetRPS <= 0 {
 		o.TargetRPS = 120000
 	}
 	if o.Duration <= 0 {
 		o.Duration = 60 * sim.Millisecond
 	}
-	if o.ValueMean <= 0 {
-		o.ValueMean = 1200
-	}
-	if o.ZipfSkew <= 0 {
-		o.ZipfSkew = 1.2
-	}
-	if o.ExpireEvery <= 0 {
-		o.ExpireEvery = 10
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
 }
+
+// The memory-pressure deployment and workload. Two 1-core backends
+// each hold an 8 MiB budget, the page allocator's minimum block, and
+// the offered dataset is twice the aggregate budget: half the
+// population cannot be resident. A 1200-byte value mean is large
+// enough that the population spans the slab classes; the skewed Zipf
+// head is what the LRU should keep resident and the hot-key cache
+// absorb; and every 10th key writes with a 1-second exptime, which the
+// post-run probe advances past to verify not one is served from any
+// layer.
+const (
+	mempBackends           = 2
+	mempBudget      uint64 = 8 << 20
+	mempPressure           = 2.0
+	mempValueMean          = 1200
+	mempExpireEvery        = 10
+)
 
 // MemoryPressureRow is one eviction policy measured under pressure.
 type MemoryPressureRow struct {
@@ -184,13 +150,12 @@ func memoryPressurePoint(opt MemoryPressureOptions, policy memcached.EvictionPol
 		return kern.Now()
 	}
 	var stores []*memcached.BoundedStore
-	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		CoresPerBackend: opt.CoresPerBackend,
-		Replicas:        1,
-		FrontendCores:   opt.FrontendCores,
-		HotKey:          opt.Cache,
+	cl := cluster.NewCluster(mempBackends, cluster.Options{
+		Replicas:      1,
+		FrontendCores: clientCores,
+		HotKey:        opt.Cache,
 		Store: func() memcached.Store {
-			s := memcached.NewBoundedStore(opt.BudgetBytes, policy, clock)
+			s := memcached.NewBoundedStore(mempBudget, policy, clock)
 			stores = append(stores, s)
 			return s
 		},
@@ -199,24 +164,24 @@ func memoryPressurePoint(opt MemoryPressureOptions, policy memcached.EvictionPol
 	front := cl.Sys.Frontend()
 	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{})
 
-	// Size the population to PressureFactor x the aggregate budget.
+	// Size the population to mempPressure x the aggregate budget.
 	etc := load.DefaultETC()
-	etc.ValueMean = opt.ValueMean
+	etc.ValueMean = mempValueMean
 	etc.ValueMax = 4096
-	etc.ZipfSkew = opt.ZipfSkew
-	perItem := opt.ValueMean + 45 + 56 // value + mean ETC key + item overhead
-	etc.KeySpace = int(opt.PressureFactor * float64(opt.BudgetBytes) * float64(opt.Backends) / perItem)
+	etc.ZipfSkew = hotZipfSkew
+	perItem := float64(mempValueMean + 45 + 56) // value + mean ETC key + item overhead
+	etc.KeySpace = int(mempPressure * float64(mempBudget) * mempBackends / perItem)
 
-	// Every ExpireEvery-th key writes with a 1-second exptime. The
+	// Every mempExpireEvery-th key writes with a 1-second exptime. The
 	// population is rebuilt here (same config and seed as the run's) to
 	// know the key bytes up front.
-	work := load.NewWorkload(etc, opt.Seed)
-	exptime := make(map[string]int64, len(work.Keys)/opt.ExpireEvery+1)
+	work := load.NewWorkload(etc, seed)
+	exptime := make(map[string]int64, len(work.Keys)/mempExpireEvery+1)
 	fill := make(map[string][]byte, len(work.Keys))
 	var probeKeys [][]byte
 	for i, key := range work.Keys {
 		fill[string(key)] = work.Values[i]
-		if i%opt.ExpireEvery == 0 {
+		if i%mempExpireEvery == 0 {
 			exptime[string(key)] = 1
 			probeKeys = append(probeKeys, key)
 		}
@@ -226,7 +191,7 @@ func memoryPressurePoint(opt MemoryPressureOptions, policy memcached.EvictionPol
 		TargetRPS: opt.TargetRPS,
 		Warmup:    10 * sim.Millisecond,
 		Duration:  opt.Duration,
-		Seed:      opt.Seed,
+		Seed:      seed,
 		ETC:       etc,
 	})
 	if reads := row.Load.Hits + row.Load.Misses; reads > 0 {
@@ -282,7 +247,7 @@ func memoryPressurePoint(opt MemoryPressureOptions, policy memcached.EvictionPol
 func FormatMemoryPressure(r MemoryPressureResult) string {
 	o := r.Opt
 	out := fmt.Sprintf("MemoryPressure: %d backends x %d MiB budget, %.1fx offered dataset, skew %.2f, %.0f RPS\n",
-		o.Backends, o.BudgetBytes>>20, o.PressureFactor, o.ZipfSkew, o.TargetRPS)
+		mempBackends, mempBudget>>20, mempPressure, hotZipfSkew, o.TargetRPS)
 	out += fmt.Sprintf("%-6s %10s %7s | %9s %9s %9s | %7s %8s | %8s\n",
 		"Policy", "RPS", "hit%", "evicted", "expired", "items", "cache%", "bounded", "expProbe")
 	for _, row := range r.Rows {
@@ -299,7 +264,7 @@ func FormatMemoryPressure(r MemoryPressureResult) string {
 			row.Stores.Evictions, row.Stores.Expired, row.Stores.Items,
 			100*row.Cache.HitRate(), bounded, probe)
 	}
-	out += fmt.Sprintf("LRU over FIFO: %+.1f hit-rate points at %.1fx pressure\n", 100*r.LRUAdvantage, o.PressureFactor)
+	out += fmt.Sprintf("LRU over FIFO: %+.1f hit-rate points at %.1fx pressure\n", 100*r.LRUAdvantage, mempPressure)
 	out += fmt.Sprintf("peak footprint: %d of %d bytes per backend\n", r.Rows[0].Stores.PeakBytes, r.Rows[0].Stores.BudgetBytes)
 	out += fmt.Sprintf("expiry probe: %d keys, %d served post-deadline, %d live-expired in stores\n",
 		r.Rows[0].ProbeKeys, r.Rows[0].ExpiredServed+r.Rows[1].ExpiredServed,

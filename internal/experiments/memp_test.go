@@ -45,6 +45,6 @@ func TestMemoryPressureBoundsAndPolicy(t *testing.T) {
 		}
 	}
 	if res.LRUAdvantage < 0 {
-		t.Fatalf("LRU hit rate below FIFO by %.3f under skew %.2f", -res.LRUAdvantage, res.Opt.ZipfSkew)
+		t.Fatalf("LRU hit rate below FIFO by %.3f under skew %.2f", -res.LRUAdvantage, hotZipfSkew)
 	}
 }
