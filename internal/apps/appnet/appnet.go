@@ -25,7 +25,9 @@ import (
 // Conn is one TCP connection as seen by an application.
 type Conn interface {
 	// Send queues payload for transmission. It always accepts the data;
-	// the implementation is responsible for windowing/buffering.
+	// the implementation is responsible for windowing/buffering. The
+	// bytes are consumed before Send returns - sent, or copied into the
+	// connection's send buffer - so the caller may reuse them at once.
 	Send(c *event.Ctx, payload *iobuf.IOBuf)
 	// Close initiates an orderly shutdown.
 	Close(c *event.Ctx)
@@ -35,7 +37,9 @@ type Conn interface {
 
 // Callbacks are the application's connection event handlers.
 type Callbacks struct {
-	// OnData delivers received payload.
+	// OnData delivers received payload. The runtime never rewrites those
+	// bytes, but they are only the handler's for the call: a receiver
+	// that keeps any of them past it copies them.
 	OnData func(c *event.Ctx, conn Conn, payload *iobuf.IOBuf)
 	// OnClose fires at full teardown; err non-nil on abnormal close.
 	OnClose func(c *event.Ctx, conn Conn, err error)

@@ -19,6 +19,22 @@ func buildRound(keys []string, fenceOpaque uint32) []byte {
 	return append(pkt, BuildNoop(fenceOpaque)...)
 }
 
+// TestAppendRoundMatchesBuild: appending a round's GETQs and fence in
+// place yields the same bytes as concatenating the Build encodings, and
+// leaves whatever dst already held untouched.
+func TestAppendRoundMatchesBuild(t *testing.T) {
+	prefix := []byte("prefix")
+	pkt := append([]byte(nil), prefix...)
+	for i, k := range roundKeys {
+		pkt = AppendGetQ(pkt, []byte(k), uint32(i+1))
+	}
+	pkt = AppendNoop(pkt, 99)
+	want := append(append([]byte(nil), prefix...), buildRound(roundKeys, 99)...)
+	if !bytes.Equal(pkt, want) {
+		t.Fatalf("appended round\n%x\nwant\n%x", pkt, want)
+	}
+}
+
 // roundServer seeds a server for the mixed round: k1 and k4 live, k3
 // stored but already expired (a past deadline reclaimed on touch), k2
 // never stored.

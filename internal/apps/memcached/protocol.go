@@ -16,6 +16,7 @@ package memcached
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Binary protocol magics.
@@ -122,13 +123,25 @@ func BuildGet(key []byte, opaque uint32) []byte {
 // absence of a member's response once the fence answers (docs/PROTOCOL.md
 // "Multiget rounds").
 func BuildGetQ(key []byte, opaque uint32) []byte {
-	b := make([]byte, HeaderLen+len(key))
-	WriteHeader(b, Header{
+	return AppendGetQ(make([]byte, 0, HeaderLen+len(key)), key, opaque)
+}
+
+// AppendGetQ appends a quiet GET to dst and returns the extended slice,
+// so a pipelined round encodes into one buffer sized up front.
+func AppendGetQ(dst, key []byte, opaque uint32) []byte {
+	dst = appendHeader(dst, Header{
 		Magic: MagicRequest, Opcode: OpGetQ,
 		KeyLen: uint16(len(key)), BodyLen: uint32(len(key)), Opaque: opaque,
 	})
-	copy(b[HeaderLen:], key)
-	return b
+	return append(dst, key...)
+}
+
+// appendHeader appends h's 24-byte encoding to dst.
+func appendHeader(dst []byte, h Header) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, HeaderLen)[:n+HeaderLen]
+	WriteHeader(dst[n:], h)
+	return dst
 }
 
 // BuildSet encodes a SET request with flags and zero expiry.
@@ -195,9 +208,12 @@ func BuildAddStamped(key, value []byte, flags uint32, opaque uint32, quiet bool,
 // on the connection has been processed (TCP ordering plus the server's
 // in-order handling).
 func BuildNoop(opaque uint32) []byte {
-	b := make([]byte, HeaderLen)
-	WriteHeader(b, Header{Magic: MagicRequest, Opcode: OpNoop, Opaque: opaque})
-	return b
+	return AppendNoop(make([]byte, 0, HeaderLen), opaque)
+}
+
+// AppendNoop appends a NOOP to dst and returns the extended slice.
+func AppendNoop(dst []byte, opaque uint32) []byte {
+	return appendHeader(dst, Header{Magic: MagicRequest, Opcode: OpNoop, Opaque: opaque})
 }
 
 // BuildStat encodes a STAT request. An empty key requests the general

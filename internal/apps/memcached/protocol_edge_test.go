@@ -389,3 +389,35 @@ func TestNextFrame(t *testing.T) {
 
 // appnet.Conn conformance for the fake.
 var _ appnet.Conn = (*fakeConn)(nil)
+
+// TestServerKeepsNoDeliveredBytes: the server parses requests in place
+// from the delivered buffers, so whatever outlives onData - a stored
+// value, a request held back until its tail arrives - must be its own
+// copy. Each delivery is overwritten as soon as onData returns.
+func TestServerKeepsNoDeliveredBytes(t *testing.T) {
+	protoHarness(t, func(c *event.Ctx) {
+		srv := NewServer(NewRCUStore(), 1)
+		sc := &serverConn{srv: srv}
+		fc := &fakeConn{}
+		deliver := func(b []byte) {
+			chunk := append([]byte(nil), b...)
+			sc.onData(c, fc, iobuf.Wrap(chunk))
+			for i := range chunk {
+				chunk[i] = 0xff
+			}
+		}
+		whole := BuildSet([]byte("whole"), []byte("value-one"), 0, 1)
+		split := BuildSet([]byte("split"), []byte("value-two"), 0, 2)
+		deliver(whole)
+		deliver(split[:HeaderLen+5])
+		deliver(split[HeaderLen+5:])
+		for key, want := range map[string]string{"whole": "value-one", "split": "value-two"} {
+			if e, ok := srv.Store.Get(key); !ok || string(e.Value) != want {
+				t.Fatalf("%s: stored %v (found %v), want %q", key, e, ok, want)
+			}
+		}
+		if hdrs, _ := parseResponses(t, fc.out); len(hdrs) != 2 || hdrs[0].Opaque != 1 || hdrs[1].Opaque != 2 {
+			t.Fatalf("responses %+v, want the two stores' acks in order", hdrs)
+		}
+	})
+}

@@ -213,10 +213,14 @@ const (
 	modeClosed             // torn down (quit, or a binary framing error)
 )
 
-// serverConn accumulates stream bytes and processes complete requests.
+// serverConn processes complete requests off the stream, holding back
+// only a request that straddles deliveries.
 type serverConn struct {
-	srv     *Server
-	rx      []byte
+	srv *Server
+	rx  []byte // partial request held across deliveries
+	// resp is the response buffer, reused across deliveries: Send
+	// consumes its bytes before returning.
+	resp    []byte
 	mode    byte
 	text    textSession
 	counted bool // curr_connections already decremented for this conn
@@ -227,11 +231,12 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 		return
 	}
 	// The paper's implementation parses requests directly from the IOBufs
-	// the driver filled. We accumulate only when a request straddles
-	// segment boundaries; the fast path processes in place.
-	data := payload.CopyOut()
-	if len(sc.rx) > 0 {
-		sc.rx = append(sc.rx, data...)
+	// the driver filled. So does this one when the delivery is a single
+	// buffer and no partial request is held; only a request straddling
+	// deliveries (or a chained delivery) is gathered into rx.
+	data := payload.Data()
+	if len(sc.rx) > 0 || payload.IsChained() {
+		sc.rx = payload.AppendTo(sc.rx)
 		data = sc.rx
 	}
 	if len(data) == 0 {
@@ -253,7 +258,7 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 	// One coalesced response per delivery batch: responses to pipelined
 	// requests aggregate into a single send, as the event-driven server
 	// naturally does when multiple requests arrive in one interrupt.
-	var resp []byte
+	resp := sc.resp[:0]
 	consumed := 0
 	for {
 		hdr, body, n, err := NextFrame(data[consumed:], MagicRequest)
@@ -275,6 +280,13 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 	} else {
 		sc.rx = sc.rx[:0]
 	}
+	sc.send(c, conn, resp)
+}
+
+// send transmits one delivery's coalesced responses and keeps their
+// buffer for the next delivery.
+func (sc *serverConn) send(c *event.Ctx, conn appnet.Conn, resp []byte) {
+	sc.resp = resp
 	if len(resp) > 0 {
 		conn.Send(c, iobuf.Wrap(resp))
 	}
@@ -284,15 +296,13 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 // stream, with the same retain-the-tail and single-send-per-batch
 // discipline as the binary path.
 func (sc *serverConn) onTextData(c *event.Ctx, conn appnet.Conn, data []byte) {
-	resp, consumed, quit := sc.srv.handleText(c, &sc.text, data)
+	resp, consumed, quit := sc.srv.handleText(c, &sc.text, data, sc.resp[:0])
 	if consumed < len(data) && !quit {
 		sc.rx = append(sc.rx[:0], data[consumed:]...)
 	} else {
 		sc.rx = sc.rx[:0]
 	}
-	if len(resp) > 0 {
-		conn.Send(c, iobuf.Wrap(resp))
-	}
+	sc.send(c, conn, resp)
 	if quit {
 		sc.mode = modeClosed
 		conn.Close(c)

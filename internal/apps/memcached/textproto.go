@@ -113,10 +113,10 @@ func (ts *textSession) reply(resp []byte, msg string) []byte {
 }
 
 // handleText consumes as much of data as currently parses, appending
-// response bytes. It reports how many bytes were consumed (the caller
-// retains the tail for the next delivery) and whether the client asked
-// to quit.
-func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte) (resp []byte, consumed int, quit bool) {
+// response bytes to resp. It reports how many bytes were consumed (the
+// caller retains the tail for the next delivery) and whether the client
+// asked to quit.
+func (s *Server) handleText(c *event.Ctx, ts *textSession, data, resp []byte) (_ []byte, consumed int, quit bool) {
 	for consumed < len(data) {
 		switch ts.state {
 		case textSwallowData:

@@ -129,7 +129,9 @@ func (r *clientRep) endBatch(c *event.Ctx) {
 }
 
 // submitRead is the single entry point for every read the client issues:
-// it queues the key toward its backend and flushes per BatchOptions.
+// it queues the key toward its backend and flushes per BatchOptions. The
+// queue holds the caller's key, not a copy: keys stay unchanged until
+// their read's callback fires (the Get/GetMulti contract).
 // Reads submitted outside any batch scope (failover retries, repair
 // probes landing from response callbacks) flush immediately, so a
 // retry's latency is never held hostage to a future batch.
@@ -139,7 +141,7 @@ func (r *clientRep) submitRead(c *event.Ctx, backend int, key []byte, cb Callbac
 	if _, ok := q.pending[backend]; !ok {
 		q.order = append(q.order, backend)
 	}
-	q.pending[backend] = append(q.pending[backend], pendingRead{key: append([]byte(nil), key...), cb: cb})
+	q.pending[backend] = append(q.pending[backend], pendingRead{key: key, cb: cb})
 	if len(q.pending[backend]) >= q.opt.MaxBatch {
 		r.flushBackend(c, backend)
 		return
@@ -251,14 +253,18 @@ func (cc *clientConn) sendRound(c *event.Ctx, ops []pendingRead, stats *BatchSta
 		cc.transmit(c, pkt)
 		return len(pkt)
 	}
-	round := &readRound{cc: cc, stats: stats}
-	var pkt []byte
+	size := memcached.HeaderLen // the Noop fence
+	for _, op := range ops {
+		size += memcached.HeaderLen + len(op.key)
+	}
+	round := &readRound{cc: cc, members: make([]uint32, 0, len(ops)), stats: stats}
+	pkt := make([]byte, 0, size)
 	for _, op := range ops {
 		opaque := cc.register(c, op.cb)
 		round.members = append(round.members, opaque)
-		pkt = append(pkt, memcached.BuildGetQ(op.key, opaque)...)
+		pkt = memcached.AppendGetQ(pkt, op.key, opaque)
 	}
-	pkt = append(pkt, memcached.BuildNoop(cc.register(c, round.resolve))...)
+	pkt = memcached.AppendNoop(pkt, cc.register(c, round.resolve))
 	cc.transmit(c, pkt)
 	return len(pkt)
 }

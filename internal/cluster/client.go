@@ -216,6 +216,10 @@ func (cli *Client) Id() core.Id { return cli.ref.Id() }
 // access toward promotion and fill the cache from the response once the
 // key qualifies. Reads for ranges mid-migration bypass the cache
 // entirely.
+//
+// The client reads key without copying it - for the wire request,
+// failover, read repair and audit - so its bytes must stay unchanged
+// until cb fires.
 func (cli *Client) Get(c *event.Ctx, key []byte, cb Callback) {
 	rep := cli.rep(c)
 	rep.beginBatch()
@@ -234,7 +238,9 @@ type BatchCallback func(c *event.Ctx, rs []Response)
 // once with all responses, index-aligned with keys; duplicate keys are
 // answered independently. Failover retries for keys whose primary read
 // failed go out immediately (as their own rounds) rather than waiting
-// on the rest of the batch.
+// on the rest of the batch. As with Get, every key's bytes must stay
+// unchanged until cb fires; the keys slice itself may be reused once
+// GetMulti returns.
 func (cli *Client) GetMulti(c *event.Ctx, keys [][]byte, cb BatchCallback) {
 	if len(keys) == 0 {
 		if cb != nil {
@@ -618,10 +624,11 @@ func (cli *Client) getFrom(c *event.Ctx, key []byte, reps []int, i int, missed [
 				cb(c, r)
 			}
 		case i+1 < len(reps):
+			next := missed
 			if r.Status == memcached.StatusKeyNotFound {
-				missed = append(missed, reps[i])
+				next = append(missed, reps[i])
 			}
-			cli.getFrom(c, key, reps, i+1, missed, cb)
+			cli.getFrom(c, key, reps, i+1, next, cb)
 		default:
 			if cb != nil {
 				cb(c, r)
@@ -1100,12 +1107,26 @@ func (cc *clientConn) abort(c *event.Ctx) {
 	}
 }
 
-// onData reassembles the response stream and dispatches callbacks. A
-// malformed or wrong-magic response means the stream is desynced and
-// can never recover: the connection is torn down and every outstanding
-// operation fails, rather than wedging silently.
+// onData parses the response stream and dispatches callbacks. Each
+// element of the delivered chain is parsed in place; only a response
+// straddling elements or deliveries is gathered into rx. A hit's value
+// is copied out, so no Response aliases the delivery. A malformed or
+// wrong-magic response means the stream is desynced and can never
+// recover: the connection is torn down and every outstanding operation
+// fails, rather than wedging silently.
 func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
-	data := payload.CopyOut()
+	b := payload
+	for cc.parse(c, b.Data()) {
+		if b = b.Next(); b == payload {
+			return
+		}
+	}
+}
+
+// parse dispatches every complete response in data, the stream's next
+// bytes, and holds back a trailing partial one. It reports false once
+// the stream has desynced and the connection is torn down.
+func (cc *clientConn) parse(c *event.Ctx, data []byte) bool {
 	if len(cc.rx) > 0 {
 		cc.rx = append(cc.rx, data...)
 		data = cc.rx
@@ -1119,7 +1140,7 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 				cc.conn.Close(c)
 			}
 			cc.fail(c)
-			return
+			return false
 		}
 		if n == 0 {
 			break
@@ -1151,4 +1172,5 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 	} else {
 		cc.rx = cc.rx[:0]
 	}
+	return true
 }

@@ -543,7 +543,7 @@ func fencedPipeline(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr,
 	var rx []byte
 	rt.Dial(c, ip, memcached.Port, appnet.Callbacks{
 		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-			rx = append(rx, payload.CopyOut()...)
+			rx = payload.AppendTo(rx)
 			consumed := 0
 			for {
 				hdr, _, n, err := memcached.NextFrame(rx[consumed:], memcached.MagicResponse)
@@ -591,7 +591,7 @@ func (m *Migrator) scrub(c *event.Ctx, run *migrationRun, j, moved int, tombs []
 		for i, key := range tombs {
 			buf = append(buf, memcached.BuildDelete(key, uint32(i))...)
 		}
-		buf = append(buf, memcached.BuildNoop(noopFence)...)
+		buf = memcached.AppendNoop(buf, noopFence)
 		conn.Send(c, iobuf.Wrap(buf))
 	}, func(c *event.Ctx) {
 		if m.cur != run || run.done[j] {
@@ -775,7 +775,7 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 				buf = nil
 			}
 		}
-		buf = append(buf, memcached.BuildNoop(noopFence)...)
+		buf = memcached.AppendNoop(buf, noopFence)
 		conn.Send(c, iobuf.Wrap(buf))
 	}, func(c *event.Ctx) {
 		b.Node.Messenger.Send(c, coord, m.id, ack)

@@ -186,8 +186,9 @@ type socket struct {
 	rt  *Runtime
 	pcb *netstack.TcpPcb
 
-	// Receive side: kernel socket buffer awaiting the task's read().
-	rxPending   [][]byte
+	// Receive side: kernel socket buffer awaiting the task's read(), as
+	// the chain of delivered IOBufs (nil when empty).
+	rxPending   *iobuf.IOBuf
 	wakePending bool
 
 	// Send side: kernel send buffer beyond the remote window.
@@ -208,11 +209,15 @@ func (s *socket) Core() int {
 func (s *socket) handler(cb appnet.Callbacks) netstack.ConnHandler {
 	return netstack.ConnHandler{
 		OnReceive: func(c *event.Ctx, pcb *netstack.TcpPcb, payload *iobuf.IOBuf) {
-			// Softirq context: kernel-side processing and copy into the
-			// socket buffer.
-			data := payload.CopyOut()
+			// Softirq context: kernel-side processing, then the delivered
+			// buffer joins the socket buffer as it is. The copy to user
+			// space is charged at read().
 			c.Charge(s.rt.Cfg.SoftirqPerPacket + s.rt.lockCost())
-			s.rxPending = append(s.rxPending, data)
+			if s.rxPending == nil {
+				s.rxPending = payload
+			} else {
+				s.rxPending.AppendChain(payload)
+			}
 			s.scheduleWake(c, cb)
 		},
 		OnAcked: func(c *event.Ctx, pcb *netstack.TcpPcb, n int) {
@@ -252,24 +257,16 @@ func (s *socket) scheduleWake(c *event.Ctx, cb appnet.Callbacks) {
 		if s.closed {
 			return
 		}
-		pending := s.rxPending
+		head := s.rxPending
 		s.rxPending = nil
 		total := 0
-		for _, b := range pending {
-			total += len(b)
+		if head != nil {
+			total = head.ComputeChainDataLength()
 		}
 		// Context switch to the task, read() syscall, copy to userspace.
 		c2.Charge(s.rt.Cfg.CtxSwitch + s.rt.Cfg.Syscall + s.rt.copyCost(total))
 		if cb.OnData == nil || total == 0 {
 			return
-		}
-		var head *iobuf.IOBuf
-		for _, b := range pending {
-			if head == nil {
-				head = iobuf.Wrap(b)
-			} else {
-				head.AppendChain(iobuf.Wrap(b))
-			}
 		}
 		cb.OnData(c2, s, head)
 	})

@@ -248,7 +248,7 @@ func newMessenger(n *Node) *Messenger {
 		var from NodeId = -1
 		return appnet.Callbacks{
 			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobufChain) {
-				buf = append(buf, payload.CopyOut()...)
+				buf = payload.AppendTo(buf)
 				buf = m.process(c, &from, conn, buf)
 			},
 		}
@@ -290,7 +290,7 @@ func (m *Messenger) Send(c *event.Ctx, dst NodeId, ebb core.Id, payload []byte) 
 	from := dst
 	m.node.Runtime.Dial(c, dstNode.IP(), messengerPort, appnet.Callbacks{
 		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobufChain) {
-			rxbuf = append(rxbuf, payload.CopyOut()...)
+			rxbuf = payload.AppendTo(rxbuf)
 			rxbuf = m.process(c, &from, conn, rxbuf)
 		},
 		OnClose: func(c *event.Ctx, conn appnet.Conn, err error) {

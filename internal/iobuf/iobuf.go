@@ -170,16 +170,27 @@ func (b *IOBuf) ComputeChainDataLength() int {
 	return total
 }
 
-// CopyOut copies the whole chain's data into a single contiguous slice.
-// This is the explicit copy used only at simulation boundaries (and by the
-// forced-copy ablation); the fast path never calls it.
+// CopyOut copies the whole chain's data into a fresh contiguous slice.
+// Two of its callers are copies the cost model charges: NIC.Deliver (the
+// hypervisor's receive copy, RxCopy) and the gpos socket's write() (its
+// copyCost). The rest are off the request path or keep bytes past the
+// call: appnet's send queue beyond the remote window, DHCP and ICMP
+// parsing, the textproto demo, and the benchmark's own client.
+// Receive accumulators use AppendTo instead.
 func (b *IOBuf) CopyOut() []byte {
-	out := make([]byte, 0, b.ComputeChainDataLength())
-	out = append(out, b.Data()...)
+	return b.AppendTo(make([]byte, 0, b.ComputeChainDataLength()))
+}
+
+// AppendTo appends the whole chain's data to dst and returns the
+// extended slice, growing dst only when its capacity runs out: a
+// receive accumulator that reuses its buffer allocates nothing per
+// delivery.
+func (b *IOBuf) AppendTo(dst []byte) []byte {
+	dst = append(dst, b.Data()...)
 	for cur := b.next; cur != b; cur = cur.next {
-		out = append(out, cur.Data()...)
+		dst = append(dst, cur.Data()...)
 	}
-	return out
+	return dst
 }
 
 // ForEach invokes fn on every element of the chain in order.

@@ -117,6 +117,24 @@ func TestChaining(t *testing.T) {
 	}
 }
 
+// TestAppendToReusesCapacity: AppendTo appends the whole chain after
+// dst's bytes, and allocates nothing when dst has room.
+func TestAppendToReusesCapacity(t *testing.T) {
+	a := FromBytes([]byte("bb"))
+	a.AppendChain(FromBytes([]byte("cc")))
+	dst := append(make([]byte, 0, 16), 'a')
+	got := a.AppendTo(dst)
+	if !bytes.Equal(got, []byte("abbcc")) {
+		t.Fatalf("AppendTo = %q", got)
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("AppendTo reallocated a buffer with room to spare")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.AppendTo(dst[:0]) }); allocs != 0 {
+		t.Fatalf("AppendTo into a roomy buffer allocates %.0f objects", allocs)
+	}
+}
+
 func TestAppendChainOfChains(t *testing.T) {
 	a := FromBytes([]byte("a"))
 	b := FromBytes([]byte("b"))

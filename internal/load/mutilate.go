@@ -356,11 +356,12 @@ func (mc *mconn) pump(c *event.Ctx) {
 	}
 }
 
-// onData parses responses and records latency.
+// onData parses responses and records latency, in place when the
+// delivery is a single buffer and no partial response is held.
 func (mc *mconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
-	data := payload.CopyOut()
-	if len(mc.rx) > 0 {
-		mc.rx = append(mc.rx, data...)
+	data := payload.Data()
+	if len(mc.rx) > 0 || payload.IsChained() {
+		mc.rx = payload.AppendTo(mc.rx)
 		data = mc.rx
 	}
 	if mc.m.cfg.TextProtocol {

@@ -150,7 +150,7 @@ func (wc *wconn) pump(c *event.Ctx) {
 }
 
 func (wc *wconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
-	wc.rx = append(wc.rx, payload.CopyOut()...)
+	wc.rx = payload.AppendTo(wc.rx)
 	for len(wc.rx) >= len(httpd.Response) {
 		if !bytes.HasPrefix(wc.rx, httpd.Response[:17]) {
 			// Desynchronized: drop connection state.

@@ -56,7 +56,9 @@ type ConnHandler struct {
 	// OnConnected fires when the handshake completes.
 	OnConnected func(c *event.Ctx, pcb *TcpPcb)
 	// OnReceive delivers in-order payload directly from the driver, as an
-	// IOBuf view with no stack-side buffering or copying.
+	// IOBuf view with no stack-side buffering or copying. The stack never
+	// rewrites those bytes, but the view is only the handler's for the
+	// call: a receiver that keeps any of them past it copies them.
 	OnReceive func(c *event.Ctx, pcb *TcpPcb, payload *iobuf.IOBuf)
 	// OnAcked reports n bytes newly acknowledged by the peer - the signal
 	// applications use to manage their own send buffering.
@@ -128,7 +130,7 @@ func newTcpLayer() *tcpLayer {
 type segment struct {
 	seq    uint32
 	flags  byte
-	data   []byte // payload copy (nil for bare SYN/FIN)
+	data   []byte // payload region of the first transmission's frame (nil for bare SYN/FIN)
 	seqLen uint32 // sequence space consumed (payload + SYN/FIN)
 	sentAt sim.Time
 	rexmit bool
@@ -309,7 +311,9 @@ func (itf *Interface) ConnectTcp(c *event.Ctx, dst Ipv4Addr, dstPort uint16, h C
 // Send transmits payload on an established connection, segmenting at MSS.
 // It fails if the payload exceeds the remote window: the application is
 // responsible for checking SendWindowRemaining and buffering excess
-// (paper §3.6) - the stack never queues application data.
+// (paper §3.6) - the stack never queues application data. The bytes are
+// consumed before Send returns (each segment's frame holds its own copy,
+// which retransmission reuses), so the caller may reuse them at once.
 func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 	if p.state != tcpEstablished && p.state != tcpCloseWait {
 		return fmt.Errorf("netstack: send in state %v", p.state)
@@ -362,15 +366,14 @@ func (p *TcpPcb) Abort(c *event.Ctx) {
 }
 
 // sendSegment builds and transmits one segment carrying data (may be nil),
-// consuming sequence space and arming retransmission. The in-flight
-// tracker keeps its own copy of the payload: the frame's bytes are
-// consumed by delivery, and the caller may reuse its buffer.
+// consuming sequence space and arming retransmission. buildFrame copies
+// data into the frame, so the caller may reuse its buffer on return. The
+// in-flight tracker keeps the frame's own payload region rather than a
+// third copy: the frame belongs to the stack, NIC.Deliver copies it into
+// the receiver's memory, and nothing writes its payload afterwards.
 func (p *TcpPcb) sendSegment(c *event.Ctx, flags byte, data []byte) {
 	seq := p.sndNxt
-	var seqLen uint32
-	if data != nil {
-		seqLen += uint32(len(data))
-	}
+	seqLen := uint32(len(data))
 	if flags&tcpSYN != 0 || flags&tcpFIN != 0 {
 		seqLen++
 	}
@@ -379,7 +382,8 @@ func (p *TcpPcb) sendSegment(c *event.Ctx, flags byte, data []byte) {
 	if seqLen > 0 {
 		var keep []byte
 		if len(data) > 0 {
-			keep = append([]byte(nil), data...)
+			fd := frame.Data()
+			keep = fd[len(fd)-len(data):]
 		}
 		p.inflight = append(p.inflight, segment{
 			seq: seq, flags: flags, data: keep, seqLen: seqLen, sentAt: c.Now(),
@@ -772,6 +776,7 @@ func (p *TcpPcb) processAck(c *event.Ctx, hdr TcpHeader, plen int) {
 				sampleFrom = seg.sentAt
 			}
 		}
+		clear(p.inflight[len(keep):]) // release the acked segments' frames
 		p.inflight = keep
 		if sampleFrom >= 0 {
 			p.sampleRTT(c.Now() - sampleFrom)

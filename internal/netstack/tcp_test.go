@@ -376,12 +376,55 @@ func TestTcpRetransmitBackoffResets(t *testing.T) {
 	}
 }
 
+// TestTcpRetransmitAfterSenderReuse checks Send's ownership contract:
+// the caller overwrites its buffer as soon as Send returns, the first
+// transmission of every segment is dropped, and the retransmissions
+// still deliver the original bytes.
+func TestTcpRetransmitAfterSenderReuse(t *testing.T) {
+	n := newTestNet(t, 1, 1)
+	dropped := map[uint32]bool{}
+	n.link.DropFn = func(idx uint64, f machine.Frame) bool {
+		tf, ok := decodeTcpFrame(f)
+		if !ok || tf.srcIP != IP(10, 0, 0, 1) || tf.payloadLen == 0 || dropped[tf.hdr.Seq] {
+			return false
+		}
+		dropped[tf.hdr.Seq] = true
+		return true
+	}
+	want := make([]byte, 2*n.a.Cfg.MSS+100) // three segments
+	for i := range want {
+		want[i] = byte(i*7 + 3)
+	}
+	var rx []byte
+	p := establishTcp(t, n, ConnHandler{
+		OnConnected: func(c *event.Ctx, pcb *TcpPcb) {
+			buf := append([]byte(nil), want...)
+			if err := pcb.Send(c, iobuf.Wrap(buf)); err != nil {
+				t.Error(err)
+			}
+			for i := range buf {
+				buf[i] = 0xee
+			}
+		},
+	}, ConnHandler{}, &rx)
+	n.k.RunUntil(2 * sim.Second)
+	if len(dropped) != 3 {
+		t.Fatalf("dropped the first transmission of %d segments, want 3", len(dropped))
+	}
+	if p.client.Retransmits < 3 {
+		t.Fatalf("retransmits %d, want >= 3", p.client.Retransmits)
+	}
+	if !bytes.Equal(rx, want) {
+		t.Fatalf("retransmissions delivered %d bytes differing from what was sent (want %d)", len(rx), len(want))
+	}
+}
+
 // tcpSegmentAllocs is the pinned allocation count of one data segment's
 // round trip on an established connection with a cached ARP entry: the
-// sender's event, the segment's frame, its in-flight payload copy, the
-// receiver's NIC copy and event, and the ACK coming back. Lower it when the path gets cheaper; a
-// rise is a regression.
-const tcpSegmentAllocs = 13
+// sender's event, the segment's frame (which the in-flight tracker
+// shares), the receiver's NIC copy and event, and the ACK coming back.
+// Lower it when the path gets cheaper; a rise is a regression.
+const tcpSegmentAllocs = 12
 
 func TestTcpSegmentAllocBudget(t *testing.T) {
 	n := newTestNet(t, 1, 1)
