@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ebbrt/internal/experiments"
 )
@@ -126,11 +127,17 @@ func gates(c experiments.Case, rep experiments.Report) bool {
 	return rep.Pass()
 }
 
+// smokeFile is where guard writes every smoke preset's text block, the
+// committed transcript that pins each preset's printed numbers.
+const smokeFile = "SMOKE.txt"
+
 // guard runs every smoke preset, gating each, and writes the BENCH
-// files; presets naming the same file merge into it in registry order.
+// files and smokeFile; presets naming the same BENCH file merge into it
+// in registry order.
 func guard() int {
 	var files []string
 	merged := map[string]*experiments.Report{}
+	var smoke strings.Builder
 	code := 0
 	for _, c := range experiments.Cases() {
 		if !c.Smoke {
@@ -140,7 +147,9 @@ func guard() int {
 		if err != nil {
 			return fail(fmt.Sprintf("guard: %s: %v", c.Name(), err))
 		}
-		fmt.Printf("== %s\n%s\n", c.Name(), text)
+		block := fmt.Sprintf("== %s\n%s\n", c.Name(), text)
+		fmt.Print(block)
+		smoke.WriteString(block)
 		if !gates(c, rep) {
 			code = 1
 		}
@@ -165,6 +174,10 @@ func guard() int {
 		}
 		fmt.Printf("guard: wrote %s\n%s\n", file, data)
 	}
+	if err := os.WriteFile(smokeFile, []byte(smoke.String()), 0o644); err != nil {
+		return fail(fmt.Sprintf("guard: %s: %v", smokeFile, err))
+	}
+	fmt.Printf("guard: wrote %s\n", smokeFile)
 	if code != 0 {
 		fmt.Fprintln(os.Stderr, "guard FAIL")
 		return code

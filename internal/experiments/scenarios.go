@@ -88,7 +88,7 @@ func registerPaper() {
 	}
 	Register("memcached", memcached("Figures 5 and 6: memcached latency vs throughput under ETC",
 		Preset[memcachedSweep]{Name: "default", Opt: fig5}, Preset[memcachedSweep]{Name: "multicore", Opt: fig6},
-		Preset[memcachedSweep]{Name: "quick", Opt: quick5}, Preset[memcachedSweep]{Name: "multicore-quick", Opt: quick6}))
+		Preset[memcachedSweep]{Name: "quick", Smoke: true, Opt: quick5}, Preset[memcachedSweep]{Name: "multicore-quick", Opt: quick6}))
 	Register("memcached-locked", memcached("Figure 5 ablation: a locked store in place of the RCU table",
 		Preset[memcachedSweep]{Name: "default", Opt: locked}))
 	Register("memcached-nopoll", memcached("Figure 5 ablation: interrupt-driven receive, no adaptive polling",
@@ -103,7 +103,7 @@ func registerPaper() {
 	})
 	Register("webserver", Spec[float64, []Table2Row]{
 		Doc:     "Table 2: node.js webserver latency under closed-loop wrk load",
-		Presets: []Preset[float64]{{Name: "default"}},
+		Presets: []Preset[float64]{{Name: "default", Smoke: true}},
 		Run:     pure(Table2),
 		Format: titled("Table 2: node.js webserver latency",
 			"EbbRT 90.54/123.00us, Linux 112.83/199.00us mean/p99", FormatTable2),
