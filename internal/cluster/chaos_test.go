@@ -336,7 +336,7 @@ func runChaos(t *testing.T, backends, replicas int, steps []chaosStep, wantZeroS
 	cl := NewCluster(backends, Options{Replicas: replicas})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	mon := NewHealthMonitor(cl, front, HealthConfig{})
+	mon := NewHealthMonitor(cl, front)
 	mon.Start()
 	k := cl.Sys.K
 	mgr := front.Runtime.Mgrs()[0]

@@ -64,9 +64,6 @@ type ClientOptions struct {
 	// the netstack RTO when frame loss (rather than node death) is
 	// expected, or retransmitted requests will be reported dead.
 	RequestTimeout sim.Time
-	// NoReadRepair disables the asynchronous re-set of a key onto
-	// replicas that missed it when a later replica served the read.
-	NoReadRepair bool
 	// HotKey configures the per-core hot-key read cache. When left
 	// disabled the client inherits the cluster's Options.HotKey; set
 	// HotKey.Disable to keep the cache off regardless.
@@ -108,14 +105,9 @@ type Client struct {
 	tombGen uint64
 }
 
-// NewClient installs a client Ebb for the cluster on the given node
-// (typically the hosted frontend). poolSize <= 0 selects
-// DefaultPoolSize connections per core per backend.
-func NewClient(cl *Cluster, node *hosted.Node, poolSize int) *Client {
-	return NewClientWithOptions(cl, node, ClientOptions{PoolSize: poolSize})
-}
-
-// NewClientWithOptions installs a client Ebb with explicit options.
+// NewClientWithOptions installs a client Ebb for the cluster on the
+// given node (typically the hosted frontend); the zero ClientOptions
+// selects every default.
 func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Client {
 	if opt.PoolSize <= 0 {
 		opt.PoolSize = DefaultPoolSize
@@ -617,7 +609,7 @@ func (cli *Client) getFrom(c *event.Ctx, key []byte, reps []int, i int, missed [
 					})
 				}
 			}
-			if len(missed) > 0 && !cli.opt.NoReadRepair {
+			if len(missed) > 0 {
 				cli.readRepair(c, key, missed, r)
 			}
 			if cb != nil {

@@ -27,9 +27,6 @@ type Options struct {
 	// FrontendCores sizes the hosted frontend (default 2), for
 	// deployments that drive client load through the frontend itself.
 	FrontendCores int
-	// VNodes overrides the ring's virtual points per backend (default
-	// DefaultVNodes).
-	VNodes int
 	// HotKey configures the client Ebb's hot-key read cache for every
 	// client created on this cluster (a client's own ClientOptions.HotKey
 	// takes precedence when enabled). See HotKeyOptions.
@@ -137,12 +134,6 @@ func (ho *handoffState) covers(h uint64) bool {
 	return false
 }
 
-// New boots a deployment with the given number of single-shard native
-// backends, each with coresPerBackend cores, and no replication.
-func New(backends, coresPerBackend int) *Cluster {
-	return NewCluster(backends, Options{CoresPerBackend: coresPerBackend})
-}
-
 // NewCluster boots a deployment under the given options. The hosted
 // frontend comes up first (it owns id allocation, as in the single-node
 // system); the backends then join and immediately start serving.
@@ -158,7 +149,7 @@ func NewCluster(backends int, opt Options) *Cluster {
 	}
 	cl := &Cluster{
 		Sys:      hosted.NewSystemOpts(hosted.SystemOptions{FrontendCores: opt.FrontendCores, Net: opt.Net, Audit: opt.Audit}),
-		Ring:     NewRing(opt.VNodes),
+		Ring:     NewRing(DefaultVNodes),
 		Replicas: opt.Replicas,
 		HotKey:   opt.HotKey,
 		HotWrite: opt.HotWrite,
@@ -168,7 +159,7 @@ func NewCluster(backends int, opt Options) *Cluster {
 	cl.Frontends = []*hosted.Node{cl.Sys.Frontend()}
 	if cl.HotWrite.Enable {
 		cl.HotWrite = cl.HotWrite.WithDefaults()
-		cl.writeSketch = newCMSketch(cl.HotWrite.SketchWidth, cl.HotWrite.SketchDepth)
+		cl.writeSketch = newCMSketch(sketchWidth, sketchDepth)
 		cl.salted = map[string]*saltState{}
 	}
 	for i := 0; i < backends; i++ {

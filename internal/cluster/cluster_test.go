@@ -16,9 +16,9 @@ import (
 // frontend's client Ebb against 4 native backends and verifies both the
 // results and that every backend actually served a share.
 func TestClusterEndToEnd(t *testing.T) {
-	cl := New(4, 1)
+	cl := NewCluster(4, Options{})
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0)
+	cli := NewClientWithOptions(cl, front, ClientOptions{})
 
 	const nKeys = 64
 	keys := make([][]byte, nKeys)
@@ -181,8 +181,8 @@ func TestClientConnFailReportsNetworkError(t *testing.T) {
 func TestHealthMonitorToleratesAddBackend(t *testing.T) {
 	cl := NewCluster(2, Options{Replicas: 2})
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0)
-	mon := NewHealthMonitor(cl, front, HealthConfig{})
+	cli := NewClientWithOptions(cl, front, ClientOptions{})
+	mon := NewHealthMonitor(cl, front)
 	mon.Start()
 	cl.Sys.K.RunUntil(20 * sim.Millisecond)
 
@@ -210,7 +210,7 @@ func TestHealthMonitorToleratesAddBackend(t *testing.T) {
 func TestSubmitToEvictedBackendFailsFast(t *testing.T) {
 	cl := NewCluster(2, Options{Replicas: 2})
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0) // RequestTimeout deliberately 0
+	cli := NewClientWithOptions(cl, front, ClientOptions{}) // RequestTimeout deliberately 0
 	cl.Sys.K.RunUntil(5 * sim.Millisecond)
 
 	cl.Backends[0].Node.Kill()
@@ -234,7 +234,7 @@ func TestSubmitToEvictedBackendFailsFast(t *testing.T) {
 
 // TestClusterRouteAgreesWithRing checks the convenience router.
 func TestClusterRouteAgreesWithRing(t *testing.T) {
-	cl := New(3, 1)
+	cl := NewCluster(3, Options{})
 	for _, key := range sampleKeys(500) {
 		want := cl.Backends[cl.Ring.Lookup(key)]
 		if cl.Route(key) != want {
@@ -246,9 +246,9 @@ func TestClusterRouteAgreesWithRing(t *testing.T) {
 // TestClusterAddBackendWhileRunning adds a backend after traffic has
 // been served and verifies new placements reach it.
 func TestClusterAddBackendWhileRunning(t *testing.T) {
-	cl := New(2, 1)
+	cl := NewCluster(2, Options{})
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0)
+	cli := NewClientWithOptions(cl, front, ClientOptions{})
 
 	front.Spawn(func(c *event.Ctx) {
 		for i := 0; i < 16; i++ {

@@ -26,12 +26,12 @@ func TestClientDataPathUnderFrameLoss(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cl := New(2, 1)
+			cl := NewCluster(2, Options{})
 			front := cl.Sys.Frontend()
 			// No request timeout: recovery must come from the transport,
 			// and retransmission under loss can take multiples of the
 			// 200ms RTO.
-			cli := NewClient(cl, front, 0)
+			cli := NewClientWithOptions(cl, front, ClientOptions{})
 			dropped := 0
 			cl.Sys.Switch.DropFn = func(index uint64, f machine.Frame) bool {
 				if index%tc.mod == tc.mod-1 {

@@ -71,11 +71,6 @@ type HotKeyOptions struct {
 	// PromoteMin is the sketch estimate at which a key qualifies as hot
 	// and its next read fills the cache (default 8).
 	PromoteMin uint32
-	// SketchWidth and SketchDepth size the count-min sketch (defaults
-	// 1024 x 4: ~16KB per core, collision error well under PromoteMin
-	// for the workloads the experiments drive).
-	SketchWidth int
-	SketchDepth int
 	// RevalidateEvery samples one in N cache hits for asynchronous CAS
 	// revalidation against the replica set (default 16; negative
 	// disables sampling).
@@ -99,12 +94,6 @@ func (o HotKeyOptions) WithDefaults() HotKeyOptions {
 	}
 	if o.PromoteMin == 0 {
 		o.PromoteMin = 8
-	}
-	if o.SketchWidth <= 0 {
-		o.SketchWidth = 1024
-	}
-	if o.SketchDepth <= 0 {
-		o.SketchDepth = 4
 	}
 	if o.RevalidateEvery == 0 {
 		o.RevalidateEvery = 16
@@ -176,10 +165,19 @@ func (s HotKeyStats) HitRate() float64 {
 // the overestimate. Purely deterministic - the same key stream always
 // produces the same estimates, which is what makes cache admission
 // reproducible run-to-run.
+//
+// Every sketch, the per-core read sketches and the cluster-wide write
+// sketch, is sketchWidth x sketchDepth: ~16KB, collision error well
+// under PromoteMin for the workloads the experiments drive.
 type cmSketch struct {
 	width uint64
 	rows  [][]uint32
 }
+
+const (
+	sketchWidth = 1024
+	sketchDepth = 4
+)
 
 func newCMSketch(width, depth int) *cmSketch {
 	s := &cmSketch{width: uint64(width), rows: make([][]uint32, depth)}
@@ -398,7 +396,7 @@ type hotKeyRep struct {
 
 func newHotKeyRep(opt HotKeyOptions) *hotKeyRep {
 	hk := &hotKeyRep{opt: opt}
-	hk.sketch = newCMSketch(opt.SketchWidth, opt.SketchDepth)
+	hk.sketch = newCMSketch(sketchWidth, sketchDepth)
 	hk.cache = newHotCache(opt.Capacity, opt.TTL, &hk.stats)
 	return hk
 }
@@ -422,10 +420,6 @@ type HotWriteOptions struct {
 	// PromoteMin is the cluster write-sketch estimate at which a key's
 	// writes start round-robining (default 16).
 	PromoteMin uint32
-	// SketchWidth and SketchDepth size the cluster-wide write-frequency
-	// sketch (defaults 1024 x 4).
-	SketchWidth int
-	SketchDepth int
 }
 
 // WithDefaults returns o with every unset field at its default.
@@ -438,12 +432,6 @@ func (o HotWriteOptions) WithDefaults() HotWriteOptions {
 	}
 	if o.PromoteMin == 0 {
 		o.PromoteMin = 16
-	}
-	if o.SketchWidth <= 0 {
-		o.SketchWidth = 1024
-	}
-	if o.SketchDepth <= 0 {
-		o.SketchDepth = 4
 	}
 	return o
 }

@@ -151,37 +151,32 @@ type MigratorConfig struct {
 	// a stream of a full key share, well below the netstack giving up on
 	// a dead peer).
 	JobTimeout sim.Time
-	// RetryDelay spaces retries after an explicitly reported transfer
-	// failure (default 2ms).
-	RetryDelay sim.Time
-	// MaxAttempts bounds per-job attempts before the whole migration is
-	// aborted (default 6).
-	MaxAttempts int
 	// PerEntryCPU is the virtual CPU a source charges per streamed entry
 	// - the scan/serialize cost the hot path pays for rebalancing
 	// (default 200ns).
 	PerEntryCPU sim.Time
-	// ChunkBytes caps one Send of the migration stream (default 16KB).
-	ChunkBytes int
 }
 
 func (cfg *MigratorConfig) applyDefaults() {
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 25 * sim.Millisecond
 	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 2 * sim.Millisecond
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 6
-	}
 	if cfg.PerEntryCPU <= 0 {
 		cfg.PerEntryCPU = 200 * sim.Nanosecond
 	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 16 * 1024
-	}
 }
+
+// The rebalancer's fixed retry and stream shape.
+const (
+	// migRetryDelay spaces retries after an explicitly reported
+	// transfer failure.
+	migRetryDelay = 2 * sim.Millisecond
+	// migMaxAttempts bounds per-job attempts before the whole
+	// migration is aborted.
+	migMaxAttempts = 6
+	// migChunkBytes caps one Send of the migration stream.
+	migChunkBytes = 16 * 1024
+)
 
 // Migration is the record of one rebalance.
 type Migration struct {
@@ -429,7 +424,7 @@ func (m *Migrator) launch(j int) {
 	if run == nil || run.done[j] {
 		return
 	}
-	if run.attempt[j] >= m.cfg.MaxAttempts {
+	if run.attempt[j] >= migMaxAttempts {
 		m.abort()
 		return
 	}
@@ -522,7 +517,7 @@ func (m *Migrator) onAck(c *event.Ctx, payload []byte) {
 			return // a newer attempt owns the job
 		}
 		run.timers[j].Cancel()
-		run.timers[j] = m.mgr.After(m.cfg.RetryDelay, func(c *event.Ctx) {
+		run.timers[j] = m.mgr.After(migRetryDelay, func(c *event.Ctx) {
 			if m.cur != run || run.done[j] {
 				return
 			}
@@ -770,7 +765,7 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 			// Likewise the absolute expiry travels verbatim so the entry
 			// keeps its exact deadline at the new owner.
 			buf = append(buf, memcached.BuildAddStampedAbs([]byte(kv.key), kv.e.Value, kv.e.Flags, uint32(i), true, kv.e.CAS, int64(kv.e.Expires))...)
-			if len(buf) >= m.cfg.ChunkBytes {
+			if len(buf) >= migChunkBytes {
 				conn.Send(c, iobuf.Wrap(buf))
 				buf = nil
 			}

@@ -137,7 +137,7 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
 		RequestTimeout: replicaTimeout,
 	})
-	mon := cluster.NewHealthMonitor(cl, front, cluster.HealthConfig{})
+	mon := cluster.NewHealthMonitor(cl, front)
 	k := cl.Sys.K
 	evictedAt, restoredAt := sim.Time(-1), sim.Time(-1)
 	cl.Watch(func(b int, up bool) {

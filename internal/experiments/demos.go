@@ -16,9 +16,9 @@ import (
 // sets, then gets, a handful of keys through the ring and reports where
 // each landed and what every backend served.
 func ClientDemo() string {
-	cl := cluster.New(4, 1)
+	cl := cluster.NewCluster(4, cluster.Options{})
 	front := cl.Sys.Frontend()
-	cli := cluster.NewClient(cl, front, 0)
+	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{})
 
 	keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
 	fetched := map[string]string{}
@@ -48,7 +48,7 @@ func ClientDemo() string {
 // live sharded cluster, over the simulated network, and reports each
 // request alongside the exact bytes the server answered.
 func TextSession() string {
-	cl := cluster.New(3, 1)
+	cl := cluster.NewCluster(3, cluster.Options{})
 	gen := cl.AddLoadGenerator(2)
 
 	steps := []string{

@@ -65,7 +65,7 @@ func ClusterScaling(backendCounts []int, perBackendRPS float64, opt ScalingOptio
 // dedicated load-generator node, and wires one load.Shard per backend -
 // the common target every sharded load experiment drives.
 func newShardedTarget(backends int, opt ScalingOptions) (*cluster.Cluster, appnet.Runtime, []load.Shard) {
-	cl := cluster.New(backends, opt.CoresPerBackend)
+	cl := cluster.NewCluster(backends, cluster.Options{CoresPerBackend: opt.CoresPerBackend})
 	// The load generator must never be the bottleneck: give it more
 	// cores than the backends have in total.
 	genCores := 2*backends*opt.CoresPerBackend + 2

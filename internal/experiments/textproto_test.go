@@ -43,7 +43,7 @@ func TestTextVsBinaryThroughputParity(t *testing.T) {
 // the simulated network, answered with byte-exact standard memcached
 // responses.
 func TestTextSessionAgainstCluster(t *testing.T) {
-	cl := cluster.New(4, 1)
+	cl := cluster.NewCluster(4, cluster.Options{})
 	gen := cl.AddLoadGenerator(2)
 
 	key := "cluster:key"

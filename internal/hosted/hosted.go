@@ -115,14 +115,7 @@ type SystemOptions struct {
 
 // NewSystem creates the frontend (hosted) node with the default two
 // cores.
-func NewSystem() *System { return NewSystemCores(2) }
-
-// NewSystemCores creates the frontend (hosted) node with the given core
-// count, for deployments that drive heavy client load through the
-// frontend itself.
-func NewSystemCores(frontendCores int) *System {
-	return NewSystemOpts(SystemOptions{FrontendCores: frontendCores})
-}
+func NewSystem() *System { return NewSystemOpts(SystemOptions{FrontendCores: 2}) }
 
 // NewSystemOpts creates the frontend (hosted) node under full options.
 func NewSystemOpts(opt SystemOptions) *System {
