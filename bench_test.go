@@ -8,11 +8,9 @@ package ebbrt_test
 import (
 	"testing"
 
-	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/apps/netpipe"
 	"ebbrt/internal/core"
-	"ebbrt/internal/event"
 	"ebbrt/internal/experiments"
 	"ebbrt/internal/jsvm"
 	"ebbrt/internal/load"
@@ -141,7 +139,7 @@ func BenchmarkFigure4NetpipeLinux256kB(b *testing.B) { benchNetpipe(b, testbed.L
 
 func benchMemcached(b *testing.B, kind testbed.ServerKind, cores int, rate float64) {
 	b.Helper()
-	var res load.MutilateResult
+	var res load.Result
 	for i := 0; i < b.N; i++ {
 		pair := testbed.NewPair(kind, cores, 8)
 		srv := memcached.NewServer(memcached.NewRCUStore(), cores)
@@ -150,10 +148,7 @@ func benchMemcached(b *testing.B, kind testbed.ServerKind, cores int, rate float
 		}
 		cfg := load.DefaultMutilate(rate)
 		cfg.Duration = 80 * sim.Millisecond
-		dial := func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-			pair.Client.Dial(c, testbed.ServerIP, memcached.Port, cb, onConnect)
-		}
-		res = load.RunMutilate(pair.Client, dial, srv, cfg)
+		res = load.Run(load.Conns(pair.Client, []load.Shard{{IP: testbed.ServerIP, Srv: srv}}, nil, false), cfg)
 	}
 	b.ReportMetric(res.Mean.Micros(), "mean-us")
 	b.ReportMetric(res.P99.Micros(), "p99-us")

@@ -12,15 +12,13 @@ import (
 	"fmt"
 
 	"ebbrt"
-	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
-	"ebbrt/internal/event"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 	"ebbrt/internal/testbed"
 )
 
-func run(kind ebbrt.ServerKind) load.MutilateResult {
+func run(kind ebbrt.ServerKind) load.Result {
 	pair := ebbrt.NewTestbed(kind, 1, 8)
 	srv := memcached.NewServer(memcached.NewRCUStore(), 1)
 	if err := srv.Serve(pair.Server); err != nil {
@@ -28,10 +26,7 @@ func run(kind ebbrt.ServerKind) load.MutilateResult {
 	}
 	cfg := load.DefaultMutilate(100_000) // 100k RPS offered
 	cfg.Duration = 150 * sim.Millisecond
-	dial := func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-		pair.Client.Dial(c, testbed.ServerIP, memcached.Port, cb, onConnect)
-	}
-	return load.RunMutilate(pair.Client, dial, srv, cfg)
+	return load.Run(load.Conns(pair.Client, []load.Shard{{IP: testbed.ServerIP, Srv: srv}}, nil, false), cfg)
 }
 
 func main() {

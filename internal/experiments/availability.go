@@ -5,7 +5,6 @@ import (
 
 	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
-	"ebbrt/internal/event"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 )
@@ -32,30 +31,10 @@ type AvailabilityOptions struct {
 }
 
 func (o *AvailabilityOptions) applyDefaults() {
-	if o.TargetRPS <= 0 {
-		o.TargetRPS = 40000
-	}
-	if o.Duration <= 0 {
-		o.Duration = 160 * sim.Millisecond
-	}
-	if o.KillAt <= 0 {
-		o.KillAt = 60 * sim.Millisecond
-	}
+	orDefault(&o.TargetRPS, 40000)
+	orDefault(&o.Duration, 160*sim.Millisecond)
+	orDefault(&o.KillAt, 60*sim.Millisecond)
 }
-
-// Shared by the cluster experiments that drive load through one hosted
-// frontend's client Ebb. The frontend gets 4 cores: it is the client,
-// not a bottleneck under study. The failure experiments kill or
-// decommission backend 0, bound one replica operation at the client to
-// 4ms so reads fail over before the health monitor evicts, and report
-// their timeline in 2ms buckets. Every workload draws from seed 42.
-const (
-	clientCores    = 4
-	victim         = 0
-	replicaTimeout = 4 * sim.Millisecond
-	bucket         = 2 * sim.Millisecond
-	seed           = 42
-)
 
 // The availability deployment: 4 backends at R=2, and an ETC key
 // population of 4000, smaller than the full workload so prepopulation
@@ -71,7 +50,7 @@ const (
 // eviction), and after the ring has rerouted.
 type AvailabilityResult struct {
 	Opt  AvailabilityOptions
-	Load load.ClusterLoadResult
+	Load load.Result
 	// EvictedAt/RestoredAt are offsets from measurement start (-1 if
 	// the event never happened).
 	EvictedAt  sim.Time
@@ -86,39 +65,6 @@ type AvailabilityResult struct {
 	RecoveredHitRate float64
 }
 
-// clusterKV adapts the replicated client Ebb to the load generator's
-// KVClient interface.
-type clusterKV struct{ cli *cluster.Client }
-
-func outcome(r cluster.Response) load.OpOutcome {
-	switch {
-	case r.OK():
-		return load.OpOutcome{OK: true}
-	case r.NetworkError():
-		return load.OpOutcome{NetErr: true}
-	default:
-		return load.OpOutcome{Miss: true}
-	}
-}
-
-func (a clusterKV) Get(c *event.Ctx, key []byte, done func(c *event.Ctx, o load.OpOutcome)) {
-	a.cli.Get(c, key, func(c *event.Ctx, r cluster.Response) { done(c, outcome(r)) })
-}
-
-func (a clusterKV) Set(c *event.Ctx, key, value []byte, done func(c *event.Ctx, o load.OpOutcome)) {
-	a.cli.Set(c, key, value, 0, func(c *event.Ctx, r cluster.Response) { done(c, outcome(r)) })
-}
-
-func (a clusterKV) GetMulti(c *event.Ctx, keys [][]byte, done func(c *event.Ctx, outs []load.OpOutcome)) {
-	a.cli.GetMulti(c, keys, func(c *event.Ctx, rs []cluster.Response) {
-		outs := make([]load.OpOutcome, len(rs))
-		for i, r := range rs {
-			outs[i] = outcome(r)
-		}
-		done(c, outs)
-	})
-}
-
 // Availability boots a replicated cluster with health monitoring,
 // drives the ETC workload through the frontend's client Ebb, kills a
 // backend mid-measurement (and optionally revives it), and reports
@@ -128,16 +74,10 @@ func (a clusterKV) GetMulti(c *event.Ctx, keys [][]byte, done func(c *event.Ctx,
 // away under load.
 func Availability(opt AvailabilityOptions) AvailabilityResult {
 	opt.applyDefaults()
-	cl := cluster.NewCluster(availBackends, cluster.Options{
-		Replicas:      availReplicas,
-		FrontendCores: clientCores,
-		Audit:         opt.Audit,
-	})
-	front := cl.Sys.Frontend()
-	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-		RequestTimeout: replicaTimeout,
-	})
-	mon := cluster.NewHealthMonitor(cl, front)
+	run := bootCluster(availBackends, 1, cluster.Options{Replicas: availReplicas, Audit: opt.Audit},
+		cluster.ClientOptions{RequestTimeout: replicaTimeout})
+	cl := run.cl
+	mon := cluster.NewHealthMonitor(cl, cl.Sys.Frontend())
 	k := cl.Sys.K
 	evictedAt, restoredAt := sim.Time(-1), sim.Time(-1)
 	cl.Watch(func(b int, up bool) {
@@ -152,8 +92,6 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 	})
 	mon.Start()
 
-	etc := load.DefaultETC()
-	etc.KeySpace = availKeySpace
 	victimNode := int(cl.Backends[victim].Node.Id)
 	events := []load.ChaosEvent{{
 		At: opt.KillAt,
@@ -175,13 +113,10 @@ func Availability(opt AvailabilityOptions) AvailabilityResult {
 			},
 		})
 	}
-	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
+	res := run.drive(etcOver(availKeySpace), load.Config{
 		TargetRPS: opt.TargetRPS,
-		Warmup:    10 * sim.Millisecond,
 		Duration:  opt.Duration,
 		Bucket:    bucket,
-		Seed:      seed,
-		ETC:       etc,
 		Events:    events,
 	})
 

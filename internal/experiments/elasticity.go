@@ -43,34 +43,20 @@ type ElasticityOptions struct {
 }
 
 func (o *ElasticityOptions) applyDefaults() {
-	if o.Backends <= 0 {
-		o.Backends = 3
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 1
-	}
-	if o.TargetRPS <= 0 {
-		o.TargetRPS = 30000
-	}
-	if o.Duration <= 0 {
-		o.Duration = 240 * sim.Millisecond
-	}
-	if o.JoinAt <= 0 {
-		o.JoinAt = 60 * sim.Millisecond
-	}
-	if o.DecommissionAt <= 0 {
-		o.DecommissionAt = 150 * sim.Millisecond
-	}
-	if o.KeySpace <= 0 {
-		o.KeySpace = 3000
-	}
+	orDefault(&o.Backends, 3)
+	orDefault(&o.Replicas, 1)
+	orDefault(&o.TargetRPS, 30000)
+	orDefault(&o.Duration, 240*sim.Millisecond)
+	orDefault(&o.JoinAt, 60*sim.Millisecond)
+	orDefault(&o.DecommissionAt, 150*sim.Millisecond)
+	orDefault(&o.KeySpace, 3000)
 }
 
 // ElasticityResult reports hit rate and throughput through a mid-run
 // join and decommission, plus the migration engine's own numbers.
 type ElasticityResult struct {
 	Opt  ElasticityOptions
-	Load load.ClusterLoadResult
+	Load load.Result
 	// Phase stats: before the join, after the join (to the
 	// decommission), and after the decommission.
 	PreJoinRPS, PreJoinHitRate       float64
@@ -105,20 +91,15 @@ type ElasticityResult struct {
 // engine exists to remove.
 func Elasticity(opt ElasticityOptions) ElasticityResult {
 	opt.applyDefaults()
-	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		Replicas:      opt.Replicas,
-		FrontendCores: clientCores,
-	})
-	front := cl.Sys.Frontend()
-	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-		RequestTimeout: replicaTimeout,
-	})
+	run := bootCluster(opt.Backends, 1, cluster.Options{Replicas: opt.Replicas},
+		cluster.ClientOptions{RequestTimeout: replicaTimeout})
+	cl := run.cl
 
 	joinStream, restoreR := sim.Time(-1), sim.Time(-1)
 	joinMoved, decommMoved := 0, 0
 	var mig *cluster.Migrator
 	if opt.Stream {
-		mig = cluster.NewMigrator(cl, front, cluster.MigratorConfig{})
+		mig = cluster.NewMigrator(cl, cl.Sys.Frontend(), cluster.MigratorConfig{})
 		mig.OnComplete(func(m *cluster.Migration) {
 			if m.Aborted {
 				return
@@ -179,15 +160,11 @@ func Elasticity(opt ElasticityOptions) ElasticityResult {
 		},
 	})
 
-	etc := load.DefaultETC()
-	etc.KeySpace = opt.KeySpace
-	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
+	etc := etcOver(opt.KeySpace)
+	res := run.drive(etc, load.Config{
 		TargetRPS: opt.TargetRPS,
-		Warmup:    10 * sim.Millisecond,
 		Duration:  opt.Duration,
 		Bucket:    bucket,
-		Seed:      42,
-		ETC:       etc,
 		Events:    events,
 	})
 
@@ -202,9 +179,8 @@ func Elasticity(opt ElasticityOptions) ElasticityResult {
 
 	// Replica census over the whole population: the fewest live replicas
 	// any key ended the run with.
-	work := load.NewWorkload(etc, 42)
 	out.MinLiveReplicas = -1
-	for _, key := range work.Keys {
+	for _, key := range population(etc).Keys {
 		n := cl.LiveHolders(key)
 		if out.MinLiveReplicas < 0 || n < out.MinLiveReplicas {
 			out.MinLiveReplicas = n

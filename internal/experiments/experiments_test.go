@@ -154,7 +154,7 @@ func TestAblationPollingHelpsUnderLoad(t *testing.T) {
 	on := MemcachedCurve(testbed.EbbRT, rates, MemcachedOptions{Cores: 1, Duration: 60 * sim.Millisecond})
 	off := MemcachedCurve(testbed.EbbRT, rates, MemcachedOptions{Cores: 1, Duration: 60 * sim.Millisecond, DisablePolling: true})
 	// Both must complete; detailed comparison is recorded by the harness.
-	if on.Points[0].Samples == 0 || off.Points[0].Samples == 0 {
+	if on.Points[0].Completed == 0 || off.Points[0].Completed == 0 {
 		t.Fatal("ablation produced no samples")
 	}
 	t.Logf("polling on : %v", on.Points[0])

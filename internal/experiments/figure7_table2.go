@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/httpd"
-	"ebbrt/internal/event"
 	"ebbrt/internal/jsvm"
 	"ebbrt/internal/load"
 	"ebbrt/internal/testbed"
@@ -54,7 +52,7 @@ func FormatFigure7(rows []Figure7Row) string {
 // Table2Row is one system's webserver latency row.
 type Table2Row struct {
 	System string
-	Result load.WrkResult
+	Result load.Result
 }
 
 // Table2 reproduces the node.js webserver latency measurement: the static
@@ -69,11 +67,8 @@ func Table2(rps float64) []Table2Row {
 			panic(err)
 		}
 		cfg := load.DefaultWrk()
-		cfg.TargetRPS = rps
-		dial := func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-			pair.Client.Dial(c, testbed.ServerIP, httpd.Port, cb, onConnect)
-		}
-		rows = append(rows, Table2Row{System: kind.String(), Result: load.RunWrk(pair.Client, dial, cfg)})
+		cfg.TargetRPS, cfg.Seed = rps, seed
+		rows = append(rows, Table2Row{System: kind.String(), Result: load.Run(load.HTTP(pair.Client, testbed.ServerIP), cfg)})
 	}
 	return rows
 }

@@ -6,7 +6,6 @@ import (
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/apps/netpipe"
-	"ebbrt/internal/event"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 	"ebbrt/internal/testbed"
@@ -77,7 +76,7 @@ type MemcachedOptions struct {
 // MemcachedSeries is one system's latency-vs-throughput curve.
 type MemcachedSeries struct {
 	System string
-	Points []load.MutilateResult
+	Points []load.Result
 }
 
 // MemcachedCurve sweeps offered load for one system and returns the
@@ -93,7 +92,7 @@ func MemcachedCurve(kind testbed.ServerKind, rates []float64, opt MemcachedOptio
 	return series
 }
 
-func memcachedPoint(kind testbed.ServerKind, rate float64, opt MemcachedOptions) load.MutilateResult {
+func memcachedPoint(kind testbed.ServerKind, rate float64, opt MemcachedOptions) load.Result {
 	pair := testbed.NewPair(kind, opt.Cores, 8)
 	if opt.DisablePolling {
 		if native, ok := pair.Server.(*appnet.Native); ok {
@@ -111,19 +110,17 @@ func memcachedPoint(kind testbed.ServerKind, rate float64, opt MemcachedOptions)
 		panic(err)
 	}
 	cfg := load.DefaultMutilate(rate)
+	cfg.Seed = seed
 	if opt.Duration > 0 {
 		cfg.Duration = opt.Duration
 	}
-	dial := func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-		pair.Client.Dial(c, testbed.ServerIP, memcached.Port, cb, onConnect)
-	}
-	return load.RunMutilate(pair.Client, dial, srv, cfg)
+	return load.Run(load.Conns(pair.Client, []load.Shard{{IP: testbed.ServerIP, Srv: srv}}, nil, false), cfg)
 }
 
 // SLAThroughput reports the highest achieved throughput whose p99 latency
 // meets the given SLA - the paper's headline comparison at a 500 us 99th
 // percentile SLA.
-func SLAThroughput(points []load.MutilateResult, sla sim.Time) float64 {
+func SLAThroughput(points []load.Result, sla sim.Time) float64 {
 	best := 0.0
 	for _, p := range points {
 		if p.P99 <= sla && p.AchievedRPS > best {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
@@ -27,23 +26,13 @@ const (
 	frontDuration     = 40 * sim.Millisecond
 )
 
-// FrontendCeilingPoint is one offered-vs-achieved sample of the
-// single-frontend profile.
-type FrontendCeilingPoint struct {
-	OfferedRPS  float64 // arrival rate offered
-	AchievedRPS float64 // key-operations completed per second
-	P99         sim.Time
-}
-
 // FrontendScalingRow is one N-frontends matrix point: the same offered
-// load driven through the per-op spine (MaxBatch 1) and the batched
-// submission queue.
+// load, frontRPS arrivals per frontend, driven through the per-op spine
+// (MaxBatch 1) and the batched submission queue.
 type FrontendScalingRow struct {
 	Frontends int
-	// OfferedRPS is the tier-wide arrival rate (frontRPS x N).
-	OfferedRPS float64
-	PerOp      load.ClusterLoadResult
-	Batched    load.ClusterLoadResult
+	PerOp     load.Result
+	Batched   load.Result
 	// Ratio is batched/per-op achieved key-op throughput.
 	Ratio float64
 	// Stats is the batched arm's submission-queue counters summed over
@@ -53,7 +42,9 @@ type FrontendScalingRow struct {
 
 // FrontendScalingResult is the full matrix run.
 type FrontendScalingResult struct {
-	Ceiling []FrontendCeilingPoint
+	// Ceiling is the single-frontend profile: offered (TargetRPS) vs
+	// achieved key-op throughput.
+	Ceiling []load.Result
 	Rows    []FrontendScalingRow
 	// Ratio is the batched/per-op throughput ratio at N=1 - the
 	// ablation the frontend preset gates.
@@ -68,34 +59,19 @@ type FrontendScalingResult struct {
 // frontendPoint runs one matrix point: a fresh cluster with nFront
 // hosted frontends, one client Ebb and one load source per frontend,
 // the multiget ETC workload at perFrontRPS arrivals per frontend.
-func frontendPoint(nFront int, perFrontRPS float64, batch cluster.BatchOptions) (load.ClusterLoadResult, cluster.BatchStats) {
-	cl := cluster.NewCluster(frontBackends, cluster.Options{
+func frontendPoint(nFront int, perFrontRPS float64, batch cluster.BatchOptions) (load.Result, cluster.BatchStats) {
+	run := bootCluster(frontBackends, nFront, cluster.Options{
 		CoresPerBackend: frontBackendCores,
 		FrontendCores:   1,
-	})
-	for len(cl.Frontends) < nFront {
-		cl.AddFrontend(1)
-	}
-	clis := make([]*cluster.Client, nFront)
-	kvs := make([]load.KVClient, nFront)
-	rtl := make([]appnet.Runtime, nFront)
-	for i, front := range cl.Frontends[:nFront] {
-		clis[i] = cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{Batch: batch})
-		kvs[i] = clusterKV{cli: clis[i]}
-		rtl[i] = front.Runtime
-	}
-	etc := load.DefaultETC()
-	etc.KeySpace = frontKeySpace
-	res := load.RunClusterLoadMulti(rtl, kvs, load.ClusterLoadConfig{
+	}, cluster.ClientOptions{Batch: batch})
+	res := run.drive(etcOver(frontKeySpace), load.Config{
 		TargetRPS: perFrontRPS * float64(nFront),
 		Warmup:    5 * sim.Millisecond,
 		Duration:  frontDuration,
-		Seed:      seed,
-		ETC:       etc,
 		MultiGet:  frontMultiGet,
 	})
 	var stats cluster.BatchStats
-	for _, cli := range clis {
+	for _, cli := range run.clis {
 		stats.Accumulate(cli.BatchStats())
 	}
 	return res, stats
@@ -115,13 +91,8 @@ func FrontendScaling() FrontendScalingResult {
 
 	// Phase 1: the single-frontend ceiling, batched arm.
 	for _, mult := range []float64{0.5, 1.0, 1.5} {
-		rate := frontRPS * mult
-		res, _ := frontendPoint(1, rate, batched)
-		out.Ceiling = append(out.Ceiling, FrontendCeilingPoint{
-			OfferedRPS:  rate,
-			AchievedRPS: res.AchievedRPS,
-			P99:         res.P99,
-		})
+		res, _ := frontendPoint(1, frontRPS*mult, batched)
+		out.Ceiling = append(out.Ceiling, res)
 		out.NetErrs += res.NetErrs
 	}
 
@@ -129,13 +100,7 @@ func FrontendScaling() FrontendScalingResult {
 	for _, n := range []int{1, 2, 3} {
 		po, _ := frontendPoint(n, frontRPS, perOp)
 		ba, stats := frontendPoint(n, frontRPS, batched)
-		row := FrontendScalingRow{
-			Frontends:  n,
-			OfferedRPS: frontRPS * float64(n),
-			PerOp:      po,
-			Batched:    ba,
-			Stats:      stats,
-		}
+		row := FrontendScalingRow{Frontends: n, PerOp: po, Batched: ba, Stats: stats}
 		if po.AchievedRPS > 0 {
 			row.Ratio = ba.AchievedRPS / po.AchievedRPS
 		}
@@ -157,7 +122,7 @@ func FormatFrontendScaling(r FrontendScalingResult) string {
 	out += "  single-frontend ceiling (batched):\n"
 	out += fmt.Sprintf("  %-12s %12s %10s\n", "offered/s", "achieved/s", "p99(us)")
 	for _, p := range r.Ceiling {
-		out += fmt.Sprintf("  %-12.0f %12.0f %10.1f\n", p.OfferedRPS, p.AchievedRPS, p.P99.Micros())
+		out += fmt.Sprintf("  %-12.0f %12.0f %10.1f\n", p.TargetRPS, p.AchievedRPS, p.P99.Micros())
 	}
 	out += "  matrix (key-ops/s):\n"
 	out += fmt.Sprintf("  %-10s %12s %12s %7s %10s %10s %12s\n",

@@ -5,7 +5,6 @@ import (
 
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/event"
-	"ebbrt/internal/hosted"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 )
@@ -30,12 +29,10 @@ func (o *HotKeyOptions) applyDefaults() {
 	if len(o.BackendCounts) == 0 {
 		o.BackendCounts = []int{1, 2, 4, 8}
 	}
-	if o.Duration <= 0 {
-		o.Duration = 60 * sim.Millisecond
-	}
-	if o.KeySpace <= 0 {
-		o.KeySpace = 6000
-	}
+	orDefault(&o.Duration, 60*sim.Millisecond)
+	orDefault(&o.KeySpace, 6000)
+	o.Cache.Enable, o.Cache.StalenessProbe = true, true
+	o.Cache = o.Cache.WithDefaults()
 }
 
 // The skewed workload every hot-key experiment drives. Zipf skew 1.2 is
@@ -59,9 +56,8 @@ const (
 // HotKeyRow is one backend count measured with the cache off and on.
 type HotKeyRow struct {
 	Backends int
-	Offered  float64
-	Off      load.ClusterLoadResult
-	On       load.ClusterLoadResult
+	Off      load.Result
+	On       load.Result
 	// OffSpeedup / OnSpeedup are each mode's achieved RPS over its own
 	// single-backend baseline - the scaling curves being compared.
 	OffSpeedup float64
@@ -101,21 +97,16 @@ type HotKeyResult struct {
 // staleness probe exercises - and verifies - the TTL bound.
 func HotKey(opt HotKeyOptions) HotKeyResult {
 	opt.applyDefaults()
-	cacheOpt := opt.Cache
-	cacheOpt.Enable = true
-	cacheOpt.StalenessProbe = true
-	cacheOpt = cacheOpt.WithDefaults()
-	opt.Cache = cacheOpt
 
-	out := HotKeyResult{Opt: opt, TTL: cacheOpt.TTL, TTLBounded: true}
+	out := HotKeyResult{Opt: opt, TTL: opt.Cache.TTL, TTLBounded: true}
 	for _, n := range opt.BackendCounts {
-		row := HotKeyRow{Backends: n, Offered: hotRPS * float64(n)}
+		row := HotKeyRow{Backends: n}
 		row.Off = skewPoint(opt.KeySpace, opt.Duration, n, cluster.Options{Replicas: 1}).load
-		on := skewPoint(opt.KeySpace, opt.Duration, n, cluster.Options{Replicas: 1, HotKey: cacheOpt})
+		on := skewPoint(opt.KeySpace, opt.Duration, n, cluster.Options{Replicas: 1, HotKey: opt.Cache})
 		row.On, row.Cache = on.load, on.cache
 		out.Probe.StaleServes += on.cache.StaleServes
 		out.Probe.MaxStaleAge = max(out.Probe.MaxStaleAge, on.cache.MaxStaleAge)
-		if on.cache.MaxStaleAge > cacheOpt.TTL {
+		if on.cache.MaxStaleAge > opt.Cache.TTL {
 			out.TTLBounded = false
 		}
 		out.Rows = append(out.Rows, row)
@@ -140,7 +131,7 @@ func HotKey(opt HotKeyOptions) HotKeyResult {
 
 // skewRun is one measured run of the skewed workload.
 type skewRun struct {
-	load  load.ClusterLoadResult
+	load  load.Result
 	cache cluster.HotKeyStats
 	// spread is the deployment's write-spreading counters; maxShare the
 	// hottest backend's fraction of all backend-served requests.
@@ -154,38 +145,31 @@ type skewRun struct {
 // cache counters are collected.
 func skewPoint(keySpace int, window sim.Time, backends int, copts cluster.Options) skewRun {
 	copts.FrontendCores = hotClientCores
-	cl := cluster.NewCluster(backends, copts)
-	front := cl.Sys.Frontend()
-	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{})
-
-	etc := load.DefaultETC()
-	etc.KeySpace = keySpace
+	run := bootCluster(backends, 1, copts, cluster.ClientOptions{})
+	etc := etcOver(keySpace)
 	etc.ZipfSkew = hotZipfSkew
 	var events []load.ChaosEvent
 	if copts.HotKey.Enable {
-		events = append(events, rogueWriter(cl, front, etc, window))
+		events = append(events, rogueWriter(run.cl, etc, window))
 	}
 	var r skewRun
-	r.load = load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
+	r.load = run.drive(etc, load.Config{
 		TargetRPS: hotRPS * float64(backends),
-		Warmup:    10 * sim.Millisecond,
 		Duration:  window,
-		Seed:      seed,
-		ETC:       etc,
 		Events:    events,
 	})
 	if copts.HotKey.Enable {
-		r.cache = cli.HotKeyStats()
+		r.cache = run.clis[0].HotKeyStats()
 	}
 	var total, maxReq uint64
-	for _, b := range cl.Backends {
+	for _, b := range run.cl.Backends {
 		total += b.Srv.Requests
 		maxReq = max(maxReq, b.Srv.Requests)
 	}
 	if total > 0 {
 		r.maxShare = float64(maxReq) / float64(total)
 	}
-	r.spread = cl.HotWriteStats()
+	r.spread = run.cl.HotWriteStats()
 	return r
 }
 
@@ -196,11 +180,12 @@ func skewPoint(keySpace int, window sim.Time, backends int, copts cluster.Option
 // hot key goes stale until TTL expiry or sampled revalidation catches it
 // - exactly the window the staleness probe measures. The returned chaos
 // event starts it at measurement start.
-func rogueWriter(cl *cluster.Cluster, front *hosted.Node, etc load.ETCConfig, window sim.Time) load.ChaosEvent {
+func rogueWriter(cl *cluster.Cluster, etc load.ETCConfig, window sim.Time) load.ChaosEvent {
+	front := cl.Sys.Frontend()
 	rogue := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
 		HotKey: cluster.HotKeyOptions{Disable: true},
 	})
-	work := load.NewWorkload(etc, seed)
+	work := population(etc)
 	rng := sim.NewRng(seed ^ 0x5bd1e995)
 	k := cl.Sys.K
 	mgrs := front.Runtime.Mgrs()
@@ -237,7 +222,7 @@ func FormatHotKey(r HotKeyResult) string {
 			improve = row.OnSpeedup / row.OffSpeedup
 		}
 		out += fmt.Sprintf("%-9d %10.0f | %10.0f %7.2fx | %10.0f %7.2fx %6.1f%% | %7.2fx\n",
-			row.Backends, row.Offered,
+			row.Backends, row.Off.TargetRPS,
 			row.Off.AchievedRPS, row.OffSpeedup,
 			row.On.AchievedRPS, row.OnSpeedup, 100*row.Cache.HitRate(), improve)
 	}

@@ -31,22 +31,20 @@ const (
 )
 
 func (o *ReplicatedHotKeyOptions) applyDefaults() {
-	if o.Duration <= 0 {
-		o.Duration = 60 * sim.Millisecond
-	}
-	if o.KeySpace <= 0 {
-		o.KeySpace = 6000
-	}
+	orDefault(&o.Duration, 60*sim.Millisecond)
+	orDefault(&o.KeySpace, 6000)
+	o.Cache.Enable, o.Cache.StalenessProbe = true, true
+	o.Cache = o.Cache.WithDefaults()
 }
 
 // ReplicatedHotKeyResult is the R>1 comparison plus its verdicts.
 type ReplicatedHotKeyResult struct {
 	Opt ReplicatedHotKeyOptions
 	// Off is the baseline: same cluster shape, no cache, no spreading.
-	Off load.ClusterLoadResult
+	Off load.Result
 	// On is the fixed configuration: replica-coherent cache plus salted
 	// write spreading, under the rogue writer.
-	On load.ClusterLoadResult
+	On load.Result
 	// Improvement is On over Off achieved RPS - the headline number (the
 	// acceptance target is >= 1.5 at 8 backends, R=3).
 	Improvement float64
@@ -78,21 +76,16 @@ type ReplicatedHotKeyResult struct {
 // writes at R=3.
 func ReplicatedHotKey(opt ReplicatedHotKeyOptions) ReplicatedHotKeyResult {
 	opt.applyDefaults()
-	cacheOpt := opt.Cache
-	cacheOpt.Enable = true
-	cacheOpt.StalenessProbe = true
-	cacheOpt = cacheOpt.WithDefaults()
-	opt.Cache = cacheOpt
 	spreadOpt := cluster.HotWriteOptions{Enable: true}.WithDefaults()
 
-	out := ReplicatedHotKeyResult{Opt: opt, TTL: cacheOpt.TTL}
+	out := ReplicatedHotKeyResult{Opt: opt, TTL: opt.Cache.TTL}
 	off := skewPoint(opt.KeySpace, opt.Duration, r3Backends, cluster.Options{Replicas: r3Replicas})
 	on := skewPoint(opt.KeySpace, opt.Duration, r3Backends, cluster.Options{
-		Replicas: r3Replicas, HotKey: cacheOpt, HotWrite: spreadOpt})
+		Replicas: r3Replicas, HotKey: opt.Cache, HotWrite: spreadOpt})
 	out.Off, out.OffMaxShare = off.load, off.maxShare
 	out.On, out.OnMaxShare, out.Cache, out.HotWrite = on.load, on.maxShare, on.cache, on.spread
 	out.HotShare = on.load.Keys.TopShare
-	out.TTLBounded = on.cache.MaxStaleAge <= cacheOpt.TTL
+	out.TTLBounded = on.cache.MaxStaleAge <= opt.Cache.TTL
 	if out.Off.AchievedRPS > 0 {
 		out.Improvement = out.On.AchievedRPS / out.Off.AchievedRPS
 	}

@@ -37,18 +37,10 @@ type LossyOptions struct {
 const lossyKeySpace = 2000
 
 func (o *LossyOptions) applyDefaults() {
-	if o.Backends <= 0 {
-		o.Backends = 4
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 2
-	}
-	if o.TargetRPS <= 0 {
-		o.TargetRPS = 20000
-	}
-	if o.Duration <= 0 {
-		o.Duration = 100 * sim.Millisecond
-	}
+	orDefault(&o.Backends, 4)
+	orDefault(&o.Replicas, 2)
+	orDefault(&o.TargetRPS, 20000)
+	orDefault(&o.Duration, 100*sim.Millisecond)
 	if len(o.LossRates) == 0 {
 		o.LossRates = []float64{0.01, 0.05, 0.10}
 	}
@@ -56,7 +48,7 @@ func (o *LossyOptions) applyDefaults() {
 
 // LossyRun is one cluster measurement under loss.
 type LossyRun struct {
-	Load load.ClusterLoadResult
+	Load load.Result
 	// Tcp aggregates retransmission activity across every node's stack.
 	Tcp netstack.TcpStats
 	// DroppedFrames counts frames the switch discarded during the run.
@@ -124,26 +116,14 @@ func aggregateTcpStats(cl *cluster.Cluster) netstack.TcpStats {
 // start. The client runs without request timeouts: recovery is the
 // transport's job, which is exactly what is under test.
 func runLossy(opt LossyOptions, rate float64, net netstack.Config) LossyRun {
-	cl := cluster.NewCluster(opt.Backends, cluster.Options{
-		Replicas:      opt.Replicas,
-		FrontendCores: clientCores,
-		Net:           net,
-	})
-	front := cl.Sys.Frontend()
-	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-		RequestTimeout: 0, // transport-only recovery
-	})
+	run := bootCluster(opt.Backends, 1, cluster.Options{Replicas: opt.Replicas, Net: net}, cluster.ClientOptions{})
+	cl := run.cl
 
 	var droppedFrames uint64
 	drop := lossDropper(seed, rate)
-	etc := load.DefaultETC()
-	etc.KeySpace = lossyKeySpace
-	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
+	res := run.drive(etcOver(lossyKeySpace), load.Config{
 		TargetRPS: opt.TargetRPS,
-		Warmup:    10 * sim.Millisecond,
 		Duration:  opt.Duration,
-		Seed:      seed,
-		ETC:       etc,
 		Events: []load.ChaosEvent{{
 			At: 0, // loss begins exactly at measurement start
 			Fn: func() {

@@ -25,12 +25,10 @@ type MemoryPressureOptions struct {
 }
 
 func (o *MemoryPressureOptions) applyDefaults() {
-	if o.TargetRPS <= 0 {
-		o.TargetRPS = 120000
-	}
-	if o.Duration <= 0 {
-		o.Duration = 60 * sim.Millisecond
-	}
+	orDefault(&o.TargetRPS, 120000)
+	orDefault(&o.Duration, 60*sim.Millisecond)
+	o.Cache.Enable = true
+	o.Cache = o.Cache.WithDefaults()
 }
 
 // The memory-pressure deployment and workload. Two 1-core backends
@@ -53,7 +51,7 @@ const (
 // MemoryPressureRow is one eviction policy measured under pressure.
 type MemoryPressureRow struct {
 	Policy  string
-	Load    load.ClusterLoadResult
+	Load    load.Result
 	HitRate float64
 	// Stores aggregates the backends' bounded-store counters; PeakBytes
 	// and BudgetBytes are per-backend maxima (the bound being gated).
@@ -100,7 +98,7 @@ type mempKV struct {
 func (a mempKV) Get(c *event.Ctx, key []byte, done func(c *event.Ctx, o load.OpOutcome)) {
 	a.cli.Get(c, key, func(c *event.Ctx, r cluster.Response) {
 		o := outcome(r)
-		if o.Miss {
+		if o == load.Miss {
 			if v, ok := a.fill[string(key)]; ok {
 				a.cli.SetWithExpiry(c, key, v, 0, a.exptime[string(key)], nil)
 			}
@@ -123,10 +121,6 @@ func (a mempKV) Set(c *event.Ctx, key, value []byte, done func(c *event.Ctx, o l
 // the warm middle - the "cache holds the tail" claim the README quotes.
 func MemoryPressure(opt MemoryPressureOptions) MemoryPressureResult {
 	opt.applyDefaults()
-	cacheOpt := opt.Cache
-	cacheOpt.Enable = true
-	cacheOpt = cacheOpt.WithDefaults()
-	opt.Cache = cacheOpt
 
 	out := MemoryPressureResult{Opt: opt}
 	for _, policy := range []memcached.EvictionPolicy{memcached.EvictLRU, memcached.EvictFIFO} {
@@ -150,32 +144,27 @@ func memoryPressurePoint(opt MemoryPressureOptions, policy memcached.EvictionPol
 		return kern.Now()
 	}
 	var stores []*memcached.BoundedStore
-	cl := cluster.NewCluster(mempBackends, cluster.Options{
-		Replicas:      1,
-		FrontendCores: clientCores,
-		HotKey:        opt.Cache,
+	run := bootCluster(mempBackends, 1, cluster.Options{
+		HotKey: opt.Cache,
 		Store: func() memcached.Store {
 			s := memcached.NewBoundedStore(mempBudget, policy, clock)
 			stores = append(stores, s)
 			return s
 		},
-	})
+	}, cluster.ClientOptions{})
+	cl, cli := run.cl, run.clis[0]
 	kern = cl.Sys.K
-	front := cl.Sys.Frontend()
-	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{})
 
 	// Size the population to mempPressure x the aggregate budget.
-	etc := load.DefaultETC()
+	perItem := float64(mempValueMean + 45 + 56) // value + mean ETC key + item overhead
+	etc := etcOver(int(mempPressure * float64(mempBudget) * mempBackends / perItem))
 	etc.ValueMean = mempValueMean
 	etc.ValueMax = 4096
 	etc.ZipfSkew = hotZipfSkew
-	perItem := float64(mempValueMean + 45 + 56) // value + mean ETC key + item overhead
-	etc.KeySpace = int(mempPressure * float64(mempBudget) * mempBackends / perItem)
 
 	// Every mempExpireEvery-th key writes with a 1-second exptime. The
-	// population is rebuilt here (same config and seed as the run's) to
-	// know the key bytes up front.
-	work := load.NewWorkload(etc, seed)
+	// population is rebuilt here to know the key bytes up front.
+	work := population(etc)
 	exptime := make(map[string]int64, len(work.Keys)/mempExpireEvery+1)
 	fill := make(map[string][]byte, len(work.Keys))
 	var probeKeys [][]byte
@@ -187,13 +176,8 @@ func memoryPressurePoint(opt MemoryPressureOptions, policy memcached.EvictionPol
 		}
 	}
 
-	row.Load = load.RunClusterLoad(front.Runtime, mempKV{cli: cli, exptime: exptime, fill: fill}, load.ClusterLoadConfig{
-		TargetRPS: opt.TargetRPS,
-		Warmup:    10 * sim.Millisecond,
-		Duration:  opt.Duration,
-		Seed:      seed,
-		ETC:       etc,
-	})
+	row.Load = run.drive(etc, load.Config{TargetRPS: opt.TargetRPS, Duration: opt.Duration},
+		mempKV{cli: cli, exptime: exptime, fill: fill})
 	if reads := row.Load.Hits + row.Load.Misses; reads > 0 {
 		row.HitRate = float64(row.Load.Hits) / float64(reads)
 	}
@@ -223,7 +207,7 @@ func memoryPressurePoint(opt MemoryPressureOptions, policy memcached.EvictionPol
 	k := cl.Sys.K
 	k.RunUntil(k.Now() + 2*sim.Second)
 	row.ProbeKeys = len(probeKeys)
-	front.Spawn(func(c *event.Ctx) {
+	cl.Sys.Frontend().Spawn(func(c *event.Ctx) {
 		for _, key := range probeKeys {
 			cli.Get(c, key, func(c *event.Ctx, r cluster.Response) {
 				if r.OK() {

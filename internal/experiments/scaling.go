@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"ebbrt/internal/apps/appnet"
-	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/cluster"
-	"ebbrt/internal/event"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 )
@@ -25,25 +23,18 @@ type ScalingOptions struct {
 // withDefaults fills unset options with the experiments' shared
 // defaults.
 func (opt ScalingOptions) withDefaults() ScalingOptions {
-	if opt.CoresPerBackend <= 0 {
-		opt.CoresPerBackend = 1
-	}
-	if opt.ConnsPerBackend <= 0 {
-		opt.ConnsPerBackend = 8
-	}
-	if opt.Duration <= 0 {
-		opt.Duration = 150 * sim.Millisecond
-	}
+	orDefault(&opt.CoresPerBackend, 1)
+	orDefault(&opt.ConnsPerBackend, 8)
+	orDefault(&opt.Duration, 150*sim.Millisecond)
 	return opt
 }
 
 // ScalingRow is one point of the cluster-scaling curve.
 type ScalingRow struct {
 	Backends int
-	// OfferedRPS is the aggregate open-loop arrival rate for this point
-	// (perBackendRPS x Backends).
-	OfferedRPS float64
-	Result     load.MutilateResult
+	// Result's TargetRPS is the aggregate offered rate (perBackendRPS x
+	// Backends).
+	Result load.Result
 }
 
 // ClusterScaling sweeps backend counts under the ETC workload, offering
@@ -73,24 +64,26 @@ func newShardedTarget(backends int, opt ScalingOptions) (*cluster.Cluster, appne
 
 	shards := make([]load.Shard, backends)
 	for i, b := range cl.Backends {
-		ip := b.Node.IP()
-		shards[i] = load.Shard{
-			Srv: b.Srv,
-			Dial: func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-				gen.Runtime.Dial(c, ip, memcached.Port, cb, onConnect)
-			},
-		}
+		shards[i] = load.Shard{IP: b.Node.IP(), Srv: b.Srv}
 	}
 	return cl, gen.Runtime, shards
 }
 
 func scalingPoint(backends int, perBackendRPS float64, opt ScalingOptions) ScalingRow {
+	cfg := opt.mutilate(perBackendRPS * float64(backends))
 	cl, gen, shards := newShardedTarget(backends, opt)
-	cfg := load.DefaultMutilate(perBackendRPS * float64(backends))
+	res := load.Run(load.Conns(gen, shards, cl.Ring.Lookup, false), cfg)
+	return ScalingRow{Backends: backends, Result: res}
+}
+
+// mutilate is the sharded experiments' load at targetRPS: the paper's
+// mutilate setup over opt's pool size and window, drawing from seed.
+func (opt ScalingOptions) mutilate(targetRPS float64) load.Config {
+	cfg := load.DefaultMutilate(targetRPS)
 	cfg.Connections = opt.ConnsPerBackend
 	cfg.Duration = opt.Duration
-	res := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
-	return ScalingRow{Backends: backends, OfferedRPS: cfg.TargetRPS, Result: res}
+	cfg.Seed = seed
+	return cfg
 }
 
 // FormatScaling renders the scaling curve with per-row speedup over the
@@ -108,7 +101,7 @@ func FormatScaling(rows []ScalingRow) string {
 			speedup = r.Result.AchievedRPS / base
 		}
 		out += fmt.Sprintf("%-9d %12.0f %12.0f %8.1fus %8.1fus %7.2fx\n",
-			r.Backends, r.OfferedRPS, r.Result.AchievedRPS,
+			r.Backends, r.Result.TargetRPS, r.Result.AchievedRPS,
 			r.Result.Mean.Micros(), r.Result.P99.Micros(), speedup)
 	}
 	return out

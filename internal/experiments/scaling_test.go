@@ -17,7 +17,7 @@ func TestClusterScalingSpeedup(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	one, four := rows[0], rows[1]
-	if one.Result.Samples == 0 || four.Result.Samples == 0 {
+	if one.Result.Completed == 0 || four.Result.Completed == 0 {
 		t.Fatalf("no samples: 1-backend %+v, 4-backend %+v", one.Result, four.Result)
 	}
 	if speedup := four.Result.AchievedRPS / one.Result.AchievedRPS; speedup < 2.0 {

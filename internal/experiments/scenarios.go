@@ -379,7 +379,7 @@ func registerCluster() {
 					{"frontends", row.Frontends},
 					{"backends", frontBackends},
 					{"multiget_keys_per_read", frontMultiGet},
-					{"offered_arrivals_per_sec", row.OfferedRPS},
+					{"offered_arrivals_per_sec", row.Batched.TargetRPS},
 					{"per_op_rps", row.PerOp.AchievedRPS},
 					{"batched_rps", row.Batched.AchievedRPS},
 					{"batched_over_per_op", row.Ratio},

@@ -21,10 +21,9 @@ import (
 // protocols.
 type TextVsBinaryRow struct {
 	Backends int
-	// OfferedRPS is the aggregate open-loop arrival rate for each run.
-	OfferedRPS float64
-	Binary     load.MutilateResult
-	Text       load.MutilateResult
+	// Binary and Text offer the same aggregate rate (their TargetRPS).
+	Binary load.Result
+	Text   load.Result
 }
 
 // Ratio is text achieved throughput over binary achieved throughput.
@@ -48,22 +47,13 @@ func TextVsBinary(backendCounts []int, perBackendRPS float64, opt ScalingOptions
 }
 
 func textVsBinaryPoint(backends int, perBackendRPS float64, opt ScalingOptions) TextVsBinaryRow {
-	cfg := load.DefaultMutilate(perBackendRPS * float64(backends))
-	cfg.Connections = opt.ConnsPerBackend
-	cfg.Duration = opt.Duration
-
+	cfg := opt.mutilate(perBackendRPS * float64(backends))
+	row := TextVsBinaryRow{Backends: backends}
 	cl, gen, shards := newShardedTarget(backends, opt)
-	bin := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
-
+	row.Binary = load.Run(load.Conns(gen, shards, cl.Ring.Lookup, false), cfg)
 	cl, gen, shards = newShardedTarget(backends, opt)
-	txt := load.RunMutilateText(gen, shards, cl.Ring.Lookup, cfg)
-
-	return TextVsBinaryRow{
-		Backends:   backends,
-		OfferedRPS: cfg.TargetRPS,
-		Binary:     bin,
-		Text:       txt,
-	}
+	row.Text = load.Run(load.Conns(gen, shards, cl.Ring.Lookup, true), cfg)
+	return row
 }
 
 // FormatTextVsBinary renders the comparison, one backend count per row.
@@ -72,7 +62,7 @@ func FormatTextVsBinary(rows []TextVsBinaryRow) string {
 		"Backends", "Offered", "Binary", "Text", "Text/Bin", "Bin p99", "Text p99")
 	for _, r := range rows {
 		out += fmt.Sprintf("%-9d %10.0f %12.0f %12.0f %8.2fx %8.1fus %8.1fus\n",
-			r.Backends, r.OfferedRPS, r.Binary.AchievedRPS, r.Text.AchievedRPS,
+			r.Backends, r.Binary.TargetRPS, r.Binary.AchievedRPS, r.Text.AchievedRPS,
 			r.Ratio(), r.Binary.P99.Micros(), r.Text.P99.Micros())
 	}
 	return out

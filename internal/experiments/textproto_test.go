@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"ebbrt/internal/apps/appnet"
@@ -23,16 +24,16 @@ func TestTextVsBinaryThroughputParity(t *testing.T) {
 		Duration:        60 * sim.Millisecond,
 	})
 	r := rows[0]
-	if r.Binary.AchievedRPS < 0.9*r.OfferedRPS {
-		t.Fatalf("binary run underachieved: %.0f of %.0f offered", r.Binary.AchievedRPS, r.OfferedRPS)
+	if r.Binary.AchievedRPS < 0.9*r.Binary.TargetRPS {
+		t.Fatalf("binary run underachieved: %.0f of %.0f offered", r.Binary.AchievedRPS, r.Binary.TargetRPS)
 	}
-	if r.Text.AchievedRPS < 0.9*r.OfferedRPS {
-		t.Fatalf("text run underachieved: %.0f of %.0f offered", r.Text.AchievedRPS, r.OfferedRPS)
+	if r.Text.AchievedRPS < 0.9*r.Binary.TargetRPS {
+		t.Fatalf("text run underachieved: %.0f of %.0f offered", r.Text.AchievedRPS, r.Binary.TargetRPS)
 	}
 	if ratio := r.Ratio(); ratio < 0.5 {
 		t.Fatalf("text throughput %.2fx of binary, want >= 0.5x", ratio)
 	}
-	if r.Text.Samples == 0 || r.Binary.Samples == 0 {
+	if r.Text.Completed == 0 || r.Binary.Completed == 0 {
 		t.Fatal("a run recorded no latency samples")
 	}
 }
@@ -83,21 +84,57 @@ func TestTextSessionAgainstCluster(t *testing.T) {
 	}
 }
 
-// TestRunMutilateTextDrivesEveryShard asserts the text load generator
-// routes and completes operations across all shards of a cluster, like
-// the binary one does.
+// TestRunMutilateTextDrivesEveryShard asserts the text-protocol Conns
+// target routes and completes operations across all shards of a
+// cluster, like the binary one does.
 func TestRunMutilateTextDrivesEveryShard(t *testing.T) {
 	cl, gen, shards := newShardedTarget(2, ScalingOptions{CoresPerBackend: 1, ConnsPerBackend: 2})
 	cfg := load.DefaultMutilate(8000)
 	cfg.Connections = 2
 	cfg.Duration = 40 * sim.Millisecond
-	res := load.RunMutilateText(gen, shards, cl.Ring.Lookup, cfg)
+	res := load.Run(load.Conns(gen, shards, cl.Ring.Lookup, true), cfg)
 	if res.AchievedRPS < 0.8*cfg.TargetRPS {
 		t.Fatalf("achieved %.0f of %.0f offered", res.AchievedRPS, cfg.TargetRPS)
 	}
 	for i, b := range cl.Backends {
 		if b.Srv.Requests == 0 {
 			t.Fatalf("backend %d served no requests", i)
+		}
+	}
+}
+
+// TestEngineOffersOneStreamToEveryTarget pins the claim behind
+// TextVsBinary that the wire protocol is the only variable: at one seed
+// and one ETC shape, the binary and text Conns targets and the cluster
+// KV target see the same measured-window arrivals - the same count and
+// the same per-key summary - because the engine, not the target, draws
+// them.
+func TestEngineOffersOneStreamToEveryTarget(t *testing.T) {
+	opt := ScalingOptions{ConnsPerBackend: 2, Duration: 30 * sim.Millisecond}.withDefaults()
+	cfg := opt.mutilate(20000)
+	cfg.ETC = etcOver(3000)
+
+	cl, gen, shards := newShardedTarget(2, opt)
+	bin := load.Run(load.Conns(gen, shards, cl.Ring.Lookup, false), cfg)
+	cl, gen, shards = newShardedTarget(2, opt)
+	txt := load.Run(load.Conns(gen, shards, cl.Ring.Lookup, true), cfg)
+	kv := bootCluster(2, 1, cluster.Options{}, cluster.ClientOptions{}).drive(cfg.ETC, cfg)
+
+	if bin.Keys.Total < 400 {
+		t.Fatalf("binary run saw %d arrivals, want about 600", bin.Keys.Total)
+	}
+	for _, r := range []struct {
+		name string
+		res  load.Result
+	}{{"text", txt}, {"cluster", kv}} {
+		if r.res.Keys.Total != bin.Keys.Total {
+			t.Errorf("%s target saw %d arrivals, binary %d", r.name, r.res.Keys.Total, bin.Keys.Total)
+		}
+		if !reflect.DeepEqual(r.res.Keys, bin.Keys) {
+			t.Errorf("%s target's key summary differs:\n%+v\nbinary:\n%+v", r.name, r.res.Keys, bin.Keys)
+		}
+		if r.res.Completed == 0 {
+			t.Errorf("%s target completed nothing", r.name)
 		}
 	}
 }

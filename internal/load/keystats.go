@@ -3,11 +3,10 @@ package load
 import "sort"
 
 // Per-key frequency accounting. The ETC workload is Zipf-skewed by
-// construction, but until now experiments could only infer the skew
-// indirectly (from which shard saturated). Every generator now counts
-// the measured window's per-key arrivals and exports the top of the
-// distribution, so an experiment can report the hot-key share it
-// actually offered.
+// construction; the engine counts the measured window's per-key
+// arrivals and exports the top of the distribution, so an experiment
+// can report the hot-key share it actually offered rather than infer it
+// from which shard saturated.
 
 // KeyFreq is one key's observed share of the measured op stream.
 type KeyFreq struct {
@@ -31,7 +30,7 @@ type KeyStats struct {
 	TopShare float64
 }
 
-// DefaultStatsTopK is how many keys the generators summarize.
+// DefaultStatsTopK is how many keys Result.Keys summarizes.
 const DefaultStatsTopK = 10
 
 // keyCounter tallies per-key arrivals inside the measured window.
@@ -51,9 +50,6 @@ func (kc *keyCounter) note(keyIdx int) {
 
 // stats summarizes the top k keys by count.
 func (kc *keyCounter) stats(k int) KeyStats {
-	if k <= 0 {
-		k = DefaultStatsTopK
-	}
 	idx := make([]int, 0, len(kc.counts))
 	for i, n := range kc.counts {
 		if n > 0 {
@@ -79,15 +75,4 @@ func (kc *keyCounter) stats(k int) KeyStats {
 		out.TopShare += f.Share
 	}
 	return out
-}
-
-// ShardLoad is one backend's measured completions - the per-backend
-// breakdown of a sharded run's aggregate throughput.
-type ShardLoad struct {
-	// Shard indexes the run's shard list.
-	Shard int
-	// Completed counts measured-window completions served by the shard.
-	Completed uint64
-	// RPS is Completed over the measured duration.
-	RPS float64
 }

@@ -43,18 +43,19 @@ func TestKeyCounterTopKDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedExportsPerShardAndKeyStats: the sharded generator must
-// report each backend's RPS alongside the aggregate and expose the
-// measured hot-key share directly.
+// TestShardedExportsPerShardAndKeyStats: a sharded run must report
+// each backend's RPS alongside the aggregate and expose the measured
+// hot-key share directly.
 func TestShardedExportsPerShardAndKeyStats(t *testing.T) {
 	n := newShardedNet(t, 2, 4)
 	shards := []Shard{n.shard(0), n.shard(1)}
 	route := func(key []byte) int { return int(key[len(key)-1]) % 2 }
 
 	cfg := DefaultMutilate(40000)
+	cfg.Seed = 42
 	cfg.Warmup = 10 * sim.Millisecond
 	cfg.Duration = 80 * sim.Millisecond
-	res := RunMutilateSharded(n.client, shards, route, cfg)
+	res := Run(Conns(n.client, shards, route, false), cfg)
 
 	if len(res.PerShard) != 2 {
 		t.Fatalf("per-shard breakdown has %d rows", len(res.PerShard))
@@ -90,17 +91,18 @@ func TestShardedExportsPerShardAndKeyStats(t *testing.T) {
 	}
 }
 
-// TestTextModePerShardStats: the text-protocol generator shares the
-// accounting engine, so the per-shard breakdown must hold there too.
+// TestTextModePerShardStats: the text-protocol target shares the
+// engine's accounting, so the per-shard breakdown must hold there too.
 func TestTextModePerShardStats(t *testing.T) {
 	n := newShardedNet(t, 2, 4)
 	shards := []Shard{n.shard(0), n.shard(1)}
 	route := func(key []byte) int { return int(key[len(key)-1]) % 2 }
 
 	cfg := DefaultMutilate(20000)
+	cfg.Seed = 42
 	cfg.Warmup = 10 * sim.Millisecond
 	cfg.Duration = 60 * sim.Millisecond
-	res := RunMutilateText(n.client, shards, route, cfg)
+	res := Run(Conns(n.client, shards, route, true), cfg)
 
 	if len(res.PerShard) != 2 {
 		t.Fatalf("per-shard breakdown has %d rows", len(res.PerShard))

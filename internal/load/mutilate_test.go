@@ -3,14 +3,12 @@ package load
 import (
 	"testing"
 
-	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
-	"ebbrt/internal/event"
 	"ebbrt/internal/sim"
 	"ebbrt/internal/testbed"
 )
 
-func runPoint(t *testing.T, kind testbed.ServerKind, cores int, rps float64) MutilateResult {
+func runPoint(t *testing.T, kind testbed.ServerKind, cores int, rps float64) Result {
 	t.Helper()
 	pair := testbed.NewPair(kind, cores, 8)
 	srv := memcached.NewServer(memcached.NewRCUStore(), cores)
@@ -18,17 +16,15 @@ func runPoint(t *testing.T, kind testbed.ServerKind, cores int, rps float64) Mut
 		t.Fatal(err)
 	}
 	cfg := DefaultMutilate(rps)
+	cfg.Seed = 42
 	cfg.Warmup = 10 * sim.Millisecond
 	cfg.Duration = 80 * sim.Millisecond
-	dial := func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-		pair.Client.Dial(c, testbed.ServerIP, memcached.Port, cb, onConnect)
-	}
-	return RunMutilate(pair.Client, dial, srv, cfg)
+	return Run(Conns(pair.Client, []Shard{{IP: testbed.ServerIP, Srv: srv}}, nil, false), cfg)
 }
 
 func TestMutilateLowLoadLatency(t *testing.T) {
 	res := runPoint(t, testbed.EbbRT, 1, 20000)
-	if res.Samples < 1000 {
+	if res.Completed < 1000 {
 		t.Fatalf("too few samples: %+v", res)
 	}
 	// At 20k RPS a single EbbRT core is far from saturation: achieved

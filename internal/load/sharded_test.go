@@ -56,13 +56,7 @@ func newShardedNet(t *testing.T, servers, clientCores int) *shardedNet {
 }
 
 func (n *shardedNet) shard(s int) Shard {
-	ip := n.ips[s]
-	return Shard{
-		Srv: n.srvs[s],
-		Dial: func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-			n.client.Dial(c, ip, memcached.Port, cb, onConnect)
-		},
-	}
+	return Shard{IP: n.ips[s], Srv: n.srvs[s]}
 }
 
 func TestMutilateShardedRoutesAndCompletes(t *testing.T) {
@@ -71,11 +65,12 @@ func TestMutilateShardedRoutesAndCompletes(t *testing.T) {
 	route := func(key []byte) int { return int(key[len(key)-1]) % 2 }
 
 	cfg := DefaultMutilate(40000)
+	cfg.Seed = 42
 	cfg.Warmup = 10 * sim.Millisecond
 	cfg.Duration = 80 * sim.Millisecond
-	res := RunMutilateSharded(n.client, shards, route, cfg)
+	res := Run(Conns(n.client, shards, route, false), cfg)
 
-	if res.Samples < 1000 {
+	if res.Completed < 1000 {
 		t.Fatalf("too few samples: %+v", res)
 	}
 	if res.AchievedRPS < 0.9*res.TargetRPS {
@@ -106,18 +101,19 @@ func TestMutilateShardedRoutesAndCompletes(t *testing.T) {
 }
 
 func TestMutilateSingleShardMatchesUnsharded(t *testing.T) {
-	// The single-shard path is the compatibility wrapper; nil route must
-	// behave identically to explicit shard-0 routing.
+	// A nil route is the single-server path; it must behave identically
+	// to explicit shard-0 routing.
 	a := newShardedNet(t, 1, 4)
 	cfg := DefaultMutilate(30000)
+	cfg.Seed = 42
 	cfg.Warmup = 10 * sim.Millisecond
 	cfg.Duration = 60 * sim.Millisecond
-	resA := RunMutilateSharded(a.client, []Shard{a.shard(0)}, nil, cfg)
+	resA := Run(Conns(a.client, []Shard{a.shard(0)}, nil, false), cfg)
 
 	b := newShardedNet(t, 1, 4)
-	resB := RunMutilateSharded(b.client, []Shard{b.shard(0)}, func([]byte) int { return 0 }, cfg)
+	resB := Run(Conns(b.client, []Shard{b.shard(0)}, func([]byte) int { return 0 }, false), cfg)
 
-	if resA.Samples != resB.Samples || resA.AchievedRPS != resB.AchievedRPS || resA.Mean != resB.Mean {
+	if resA.Completed != resB.Completed || resA.AchievedRPS != resB.AchievedRPS || resA.Mean != resB.Mean {
 		t.Fatalf("nil route diverged from explicit zero route:\n%v\n%v", resA, resB)
 	}
 }

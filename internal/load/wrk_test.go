@@ -3,14 +3,12 @@ package load
 import (
 	"testing"
 
-	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/httpd"
-	"ebbrt/internal/event"
 	"ebbrt/internal/sim"
 	"ebbrt/internal/testbed"
 )
 
-func runWrkPoint(t *testing.T, kind testbed.ServerKind, rps float64) WrkResult {
+func runWrkPoint(t *testing.T, kind testbed.ServerKind, rps float64) Result {
 	t.Helper()
 	pair := testbed.NewPair(kind, 1, 4)
 	srv := httpd.NewServer()
@@ -18,12 +16,9 @@ func runWrkPoint(t *testing.T, kind testbed.ServerKind, rps float64) WrkResult {
 		t.Fatal(err)
 	}
 	cfg := DefaultWrk()
-	cfg.TargetRPS = rps
+	cfg.TargetRPS, cfg.Seed = rps, 7
 	cfg.Duration = 150 * sim.Millisecond
-	dial := func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn)) {
-		pair.Client.Dial(c, testbed.ServerIP, httpd.Port, cb, onConnect)
-	}
-	return RunWrk(pair.Client, dial, cfg)
+	return Run(HTTP(pair.Client, testbed.ServerIP), cfg)
 }
 
 func TestResponseIs148Bytes(t *testing.T) {
@@ -35,8 +30,8 @@ func TestResponseIs148Bytes(t *testing.T) {
 func TestWebserverLatencyOrdering(t *testing.T) {
 	ebb := runWrkPoint(t, testbed.EbbRT, 6000)
 	lin := runWrkPoint(t, testbed.LinuxVM, 6000)
-	if ebb.Samples < 300 || lin.Samples < 300 {
-		t.Fatalf("too few samples: ebb=%d lin=%d", ebb.Samples, lin.Samples)
+	if ebb.Completed < 300 || lin.Completed < 300 {
+		t.Fatalf("too few samples: ebb=%d lin=%d", ebb.Completed, lin.Completed)
 	}
 	if ebb.Mean >= lin.Mean {
 		t.Fatalf("EbbRT mean %v should beat Linux %v", ebb.Mean, lin.Mean)
