@@ -15,7 +15,10 @@
 // skewed tail), ReplicatedHotKey (the same at R=3 with salted write
 // spreading), Lossy (adaptive vs fixed RTO under frame loss),
 // MemoryPressure (bounded stores, LRU vs FIFO, with an expiry probe)
-// and FrontendScaling (hosted frontends, batched vs per-op).
+// and FrontendScaling (hosted frontends, batched vs per-op). Those that
+// load the cluster through its client Ebbs share one boot path
+// (clusterrun.go): bootCluster, then drive, which owns the seed, the
+// ETC shape and the warmup.
 //
 // The registry (registry.go, filled by scenarios.go) files each
 // experiment as a scenario with named presets, a text formatter and a

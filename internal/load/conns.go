@@ -3,8 +3,6 @@ package load
 import (
 	"bytes"
 	"fmt"
-	"maps"
-	"slices"
 	"strconv"
 
 	"ebbrt/internal/apps/appnet"
@@ -61,8 +59,7 @@ type mconn struct {
 	nextOpaque uint32
 	rx         []byte
 	connected  bool
-	closed     bool // the response stream desynced; every op fails
-	skip       int  // text: bytes of a VALUE data block (+CRLF) still to skip
+	skip       int // text: bytes of a VALUE data block (+CRLF) still to skip
 }
 
 func (t *connTarget) start(e *engine) (*sim.Kernel, int, int) {
@@ -122,10 +119,6 @@ func (t *connTarget) route(e *engine, o *op) *event.Manager {
 // submit queues an op on its connection and pumps the pipeline.
 func (t *connTarget) submit(c *event.Ctx, e *engine, o *op) {
 	mc := t.pools[o.shard][o.lane]
-	if mc.closed {
-		e.finish(c, o, NetErr)
-		return
-	}
 	mc.queue = append(mc.queue, o)
 	mc.pump(c)
 }
@@ -170,8 +163,8 @@ func (mc *mconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 	} else {
 		consumed = mc.decodeBinary(c, data)
 	}
-	if mc.closed {
-		return
+	if !mc.connected {
+		return // desynced
 	}
 	if consumed < len(data) {
 		mc.rx = append(mc.rx[:0], data[consumed:]...)
@@ -188,7 +181,11 @@ func (mc *mconn) decodeBinary(c *event.Ctx, data []byte) int {
 	for {
 		hdr, _, n, err := memcached.NextFrame(data[consumed:], memcached.MagicResponse)
 		if err != nil {
-			mc.desync(c)
+			// Desynced response stream: retire the connection (its ops
+			// are lost; the run continues on the rest of the pool).
+			mc.rx = nil
+			mc.connected = false
+			mc.conn.Close(c)
 			return consumed
 		}
 		if n == 0 {
@@ -205,24 +202,6 @@ func (mc *mconn) decodeBinary(c *event.Ctx, data []byte) int {
 			out = Miss
 		}
 		mc.e.finish(c, o, out)
-	}
-}
-
-// desync retires a connection whose response stream no longer parses:
-// every op it holds fails as a network error, as does every op routed
-// to it later.
-func (mc *mconn) desync(c *event.Ctx) {
-	mc.rx = nil
-	mc.connected = false
-	mc.closed = true
-	mc.conn.Close(c)
-	held := append(mc.queue, mc.fifo...)
-	for _, opaque := range slices.Sorted(maps.Keys(mc.inflight)) {
-		held = append(held, mc.inflight[opaque])
-	}
-	mc.queue, mc.fifo, mc.inflight = nil, nil, nil
-	for _, o := range held {
-		mc.e.finish(c, o, NetErr)
 	}
 }
 

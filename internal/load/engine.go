@@ -115,17 +115,6 @@ type LoadBucket struct {
 	NetErrs uint64
 }
 
-// ShardLoad is one shard's measured completions: a Conns target's
-// server, or a KV target's frontend.
-type ShardLoad struct {
-	// Shard indexes the target's shards.
-	Shard int
-	// Completed counts measured-window completions the shard carried.
-	Completed uint64
-	// RPS is Completed over the measured duration.
-	RPS float64
-}
-
 // Result is one measured run.
 type Result struct {
 	TargetRPS   float64
@@ -148,9 +137,10 @@ type Result struct {
 	// Keys is the measured window's per-key frequency summary (the
 	// offered hot-key share).
 	Keys KeyStats
-	// PerShard breaks Completed down by shard, exposing which shard a
+	// PerShard breaks Completed down by the target's shards - a Conns
+	// target's servers, a KV target's frontends - exposing which shard a
 	// skewed tail concentrates on.
-	PerShard []ShardLoad
+	PerShard []uint64
 }
 
 // String renders the point like the paper's axes.
@@ -247,14 +237,14 @@ func Run(t Target, cfg Config) Result {
 	e.k = k
 	e.measStart = k.Now() + cfg.Warmup
 	e.measEnd = e.measStart + cfg.Duration
-	r := &e.res
-	*r = Result{
+	e.res = Result{
 		TargetRPS:    cfg.TargetRPS,
 		Timeline:     make([]LoadBucket, (cfg.Duration+cfg.Bucket-1)/cfg.Bucket),
 		BucketWidth:  cfg.Bucket,
 		MeasuredFrom: e.measStart,
-		PerShard:     make([]ShardLoad, shards),
+		PerShard:     make([]uint64, shards),
 	}
+	r := &e.res
 	for i := range r.Timeline {
 		r.Timeline[i].Start = sim.Time(i) * cfg.Bucket
 	}
@@ -274,14 +264,9 @@ func Run(t Target, cfg Config) Result {
 	}
 	k.RunUntil(e.measEnd + 20*sim.Millisecond)
 
-	secs := float64(cfg.Duration) / 1e9
-	r.AchievedRPS = float64(r.Completed) / secs
+	r.AchievedRPS = float64(r.Completed) / (float64(cfg.Duration) / 1e9)
 	r.Mean, r.P99 = e.rec.Mean(), e.rec.Percentile(99)
 	r.Keys = e.keyFreq.stats(DefaultStatsTopK)
-	for s := range r.PerShard {
-		r.PerShard[s].Shard = s
-		r.PerShard[s].RPS = float64(r.PerShard[s].Completed) / secs
-	}
 	return *r
 }
 
@@ -329,7 +314,8 @@ func (e *engine) issue(o *op) {
 
 // finish scores one finished key of o and, in the closed loop, issues
 // the next op on o's lane once all of o's keys are in. A lane whose op
-// fails in the network stops: its next op could only fail the same way.
+// failed in the network stops, so a dead connection cannot spin the
+// loop in place.
 func (e *engine) finish(c *event.Ctx, o *op, out OpOutcome) {
 	now := c.Now()
 	e.score(now, o, out)
@@ -367,7 +353,7 @@ func (e *engine) score(now sim.Time, o *op, out OpOutcome) {
 	}
 	r.Completed++
 	b.Completed++
-	r.PerShard[o.shard].Completed++
+	r.PerShard[o.shard]++
 	if o.get {
 		r.Hits++
 		b.Hits++

@@ -83,13 +83,8 @@ func (wc *wconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 	wc.rx = payload.AppendTo(wc.rx)
 	for len(wc.rx) >= len(httpd.Response) {
 		if !bytes.HasPrefix(wc.rx, httpd.Response[:17]) {
-			// Desynchronized: drop the stream; the request in flight has
-			// lost its response.
+			// Desynchronized: drop connection state.
 			wc.rx = nil
-			if o := wc.inflight; o != nil {
-				wc.inflight = nil
-				wc.e.finish(c, o, NetErr)
-			}
 			return
 		}
 		wc.rx = wc.rx[len(httpd.Response):]
