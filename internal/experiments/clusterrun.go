@@ -37,9 +37,7 @@ type clusterRun struct {
 // frontends shaped by opt, then a client Ebb under copt on each
 // frontend.
 func bootCluster(backends, frontends int, opt cluster.Options, copt cluster.ClientOptions) clusterRun {
-	if opt.FrontendCores == 0 {
-		opt.FrontendCores = clientCores
-	}
+	orDefault(&opt.FrontendCores, clientCores)
 	r := clusterRun{cl: cluster.NewCluster(backends, opt)}
 	for len(r.cl.Frontends) < frontends {
 		r.cl.AddFrontend(opt.FrontendCores)

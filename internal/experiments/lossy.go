@@ -17,7 +17,8 @@ import (
 // injected at the switch, comparing the self-tuning TCP data path
 // (adaptive RTO + fast retransmit) against the fixed-RTO baseline. The
 // backends have one core each and the ETC population is lossyKeySpace
-// keys; seed 42 feeds the workload, arrivals, and the loss process.
+// keys; the experiments' seed feeds the workload, arrivals, and the loss
+// process.
 type LossyOptions struct {
 	// Backends is the native backend count (default 4).
 	Backends int
