@@ -147,7 +147,7 @@ func benchMemcached(b *testing.B, kind testbed.ServerKind, cores int, rate float
 			b.Fatal(err)
 		}
 		cfg := load.DefaultMutilate(rate)
-		cfg.Duration = 80 * sim.Millisecond
+		cfg.Duration, cfg.Seed = 80*sim.Millisecond, 42
 		res = load.Run(load.Conns(pair.Client, []load.Shard{{IP: testbed.ServerIP, Srv: srv}}, nil, false), cfg)
 	}
 	b.ReportMetric(res.Mean.Micros(), "mean-us")

@@ -25,7 +25,7 @@ func run(kind ebbrt.ServerKind) load.Result {
 		panic(err)
 	}
 	cfg := load.DefaultMutilate(100_000) // 100k RPS offered
-	cfg.Duration = 150 * sim.Millisecond
+	cfg.Duration, cfg.Seed = 150*sim.Millisecond, 42
 	return load.Run(load.Conns(pair.Client, []load.Shard{{IP: testbed.ServerIP, Srv: srv}}, nil, false), cfg)
 }
 

@@ -24,6 +24,10 @@ type Shard struct {
 // handshakes before arrivals start.
 const connectTime = 5 * sim.Millisecond
 
+// pipeline caps each Conns connection's requests in flight: mutilate's
+// depth in the paper's setup (§4.2).
+const pipeline = 4
+
 // Conns is the mutilate target: each key routes (via route over the
 // workload's keys; nil for one shard) to one shard, which receives it
 // on that shard's private pool of Config.Connections pipelined
@@ -128,7 +132,7 @@ func (mc *mconn) pump(c *event.Ctx) {
 	if !mc.connected {
 		return
 	}
-	for len(mc.inflight)+len(mc.fifo) < mc.e.cfg.Pipeline && len(mc.queue) > 0 {
+	for len(mc.inflight)+len(mc.fifo) < pipeline && len(mc.queue) > 0 {
 		o := mc.queue[0]
 		mc.queue = mc.queue[1:]
 		var packet []byte

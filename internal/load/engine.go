@@ -35,8 +35,6 @@ type Config struct {
 	// Connections is a Conns target's pool size per shard, an HTTP
 	// target's connection count, and the closed loop's concurrency.
 	Connections int
-	// Pipeline caps each Conns connection's requests in flight.
-	Pipeline int
 	// Warmup runs load before measurement begins.
 	Warmup sim.Time
 	// Duration is the measured window.
@@ -63,7 +61,6 @@ type Config struct {
 func DefaultMutilate(targetRPS float64) Config {
 	return Config{
 		Connections: 16,
-		Pipeline:    4,
 		TargetRPS:   targetRPS,
 		Warmup:      30 * sim.Millisecond,
 		Duration:    250 * sim.Millisecond,
